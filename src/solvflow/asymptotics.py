@@ -39,9 +39,6 @@ __all__ = [
     "d2_bernoulli_constants",
 ]
 
-_REL = 1e-12
-
-
 class PreconditionViolation(ValueError):
     """Initial data does not satisfy the algebraic requirements of a case."""
 
@@ -69,13 +66,13 @@ def d2_bernoulli_constants(lam: Sequence[float]) -> dict[str, float]:
     return {"ell": ell, "K": K, "m": m, "M": m**2 / b_const**2, "B": b_const}
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise PreconditionViolation(msg)
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL * max(abs(a), abs(b), 1.0)
+# cases that hold only on the data catalog.classify_case assigns to them
+_PRECONDITIONS = {
+    (ModelId.D1, "case1"): "D1 case 1 needs l2*l4 = l3*l5",
+    (ModelId.D2, "case1"): "D2 case 1 needs l2^2 = l1*l3",
+    (ModelId.D3, "self_similar"):
+        "D3 self-similar data needs l2*l5 = l3*l4, l2*l4 = l3^2, 3*l1*l5 = 2*l3^2",
+}
 
 
 @dataclass(frozen=True)
@@ -100,18 +97,9 @@ class ClosedFormSolution:
         self._check_preconditions()
 
     def _check_preconditions(self):
-        l1, l2, l3, l4, l5 = self.lam.lam
-        if self.model is ModelId.D1 and self.case == "case1":
-            _require(_close(l2 * l4, l3 * l5), "D1 case 1 needs l2*l4 = l3*l5")
-        elif self.model is ModelId.D2 and self.case == "case1":
-            _require(_close(l2 * l2, l1 * l3), "D2 case 1 needs l2^2 = l1*l3")
-        elif self.model is ModelId.D3 and self.case == "self_similar":
-            _require(
-                _close(l2 * l5, l3 * l4)
-                and _close(l2 * l4, l3 * l3)
-                and _close(3.0 * l1 * l5, 2.0 * l3 * l3),
-                "D3 self-similar data needs l2*l5 = l3*l4, l2*l4 = l3^2, 3*l1*l5 = 2*l3^2",
-            )
+        need = _PRECONDITIONS.get((self.model, self.case))
+        if need and catalog.classify_case(self.model, self.lam) != self.case:
+            raise PreconditionViolation(need)
 
     def eval_array(self, t) -> np.ndarray:
         """Coefficients at times t (scalar or array); shape (..., 5)."""

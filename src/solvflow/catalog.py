@@ -77,8 +77,8 @@ class InitialData:
         lam = tuple(float(x) for x in self.lam)
         if len(lam) != 5:
             raise ValueError("expected five initial coefficients")
-        if any(x <= 0 for x in lam):
-            raise ValueError("initial coefficients must be strictly positive")
+        if any(not math.isfinite(x) or x <= 0 for x in lam):
+            raise ValueError(f"initial coefficients must be finite and strictly positive: {lam}")
         object.__setattr__(self, "lam", lam)
 
     @property
@@ -171,10 +171,9 @@ def _check_params(model: ModelId, params: Mapping[str, float]) -> dict[str, floa
         raise ValueError(f"{model.value} has no parameters {sorted(unknown)}")
     full = {n: float(params.get(n, 0.0)) for n in names}
     if model is ModelId.D11:
-        eps = full.get("eps", 0.0) or 1.0
-        if eps not in (1.0, -1.0):
-            raise ValueError("D11 requires eps in {+1, -1}")
-        full["eps"] = eps
+        full["eps"] = float(params.get("eps", 1.0))
+        if full["eps"] not in (1.0, -1.0):
+            raise ValueError(f"D11 requires eps in {{+1, -1}}, got {full['eps']}")
     return full
 
 

@@ -44,17 +44,11 @@ def _model_arg(value: str) -> ModelId:
         )
 
 
-def _lambda_arg(value: str) -> tuple[float, ...]:
-    parts = value.split(",")
-    if len(parts) != 5:
-        raise argparse.ArgumentTypeError("expected five comma-separated values")
+def _lambda_arg(value: str) -> InitialData:
     try:
-        lam = tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {value!r} as floats")
-    if any(x <= 0 for x in lam):
-        raise argparse.ArgumentTypeError("initial coefficients must be positive")
-    return lam
+        return InitialData(tuple(float(p) for p in value.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{value!r}: {exc}")
 
 
 def _window_arg(value: str) -> tuple[float, float]:
@@ -96,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="detect conserved monomials")
     p.add_argument("model", type=_model_arg)
-    p.add_argument("--max-exp", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-exp", type=int, default=5,
+                   help="accepted for compatibility; detection is exact, with no search box")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; detection draws no random points")
 
     p = sub.add_parser("fit", help="fit a power law to one trajectory component")
     p.add_argument("--in", dest="path", required=True)
@@ -141,7 +137,7 @@ def cmd_flow(args) -> int:
         if args.model is ModelId.D11 else None
     problem = FlowProblem(
         model=args.model,
-        initial=InitialData(args.lam),
+        initial=args.lam,
         t_end=args.t_end,
         params=params,
         rel_tol=args.rtol,

@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import catalog
 from .catalog import InitialData, ModelId
-from .curvature import DEFAULT_OFFDIAG_TOL, DiagonalityViolation, _flow_rhs_array
+from .curvature import compile_flow
 from .liecore import StructureConstants, jacobi_residual
 
 __all__ = [
@@ -37,7 +37,6 @@ CSV_HEADER = ("t", "A", "B", "C", "D", "E", "max_drift", "max_offdiag")
 
 TERM_REACHED = "reached_t_end"
 TERM_POSITIVITY = "positivity_breach"
-TERM_DIAGONALITY = "diagonality_breach"
 TERM_STEP_FAILURE = "step_failure"
 
 # below this, a coefficient is treated as collapsed rather than integrated
@@ -51,7 +50,11 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """One flow run: model, initial data and integration controls."""
+    """One flow run: model, initial data and integration controls.
+
+    Diagonality has no control: it is decided exactly from the brackets
+    (see :func:`solvflow.curvature.compile_flow`) before the run starts.
+    """
 
     model: ModelId | None
     initial: InitialData
@@ -59,7 +62,6 @@ class FlowProblem:
     params: Mapping[str, float] | None = None  # None -> constrained parameters
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
-    offdiag_tol: float = DEFAULT_OFFDIAG_TOL
     samples_per_decade: int = 64
     linear_samples: int = 33
 
@@ -88,8 +90,9 @@ class Trajectory:
     """Sampled flow: times, coefficients and per-sample diagnostics.
 
     ``max_drift`` is the worst relative drift of the model's conserved
-    monomials up to that sample; ``max_offdiag`` the largest off-diagonal
-    Ricci component seen at the sample itself.
+    monomials up to that sample.  ``max_offdiag`` is the off-diagonal Ricci
+    component at the sample; :func:`integrate` only runs tables whose
+    off-diagonal monomials all cancel, so it writes 0.0 throughout.
     """
 
     times: np.ndarray = field(repr=False)
@@ -240,9 +243,9 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
     """Integrate the flow for ``problem`` and sample the solution.
 
     If ``sc`` is omitted the brackets come from the catalog model with the
-    problem's (or the constrained) parameters.  Terminates early when a
-    coefficient collapses below the positivity floor; a diagonality breach
-    at t = 0 is raised, one occurring mid-run truncates the trajectory.
+    problem's (or the constrained) parameters.  Raises DiagonalityViolation
+    before solving if the brackets do not keep a diagonal metric diagonal;
+    terminates early when a coefficient collapses below the positivity floor.
     """
     params = problem.resolved_params()
     if sc is None:
@@ -252,29 +255,12 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
     res = jacobi_residual(sc)
     if res > 1e-10:
         raise ValueError(f"brackets violate the Jacobi identity (residual {res:.3e})")
+    terms = compile_flow(sc)
+    terms.check_diagonal()
 
     lam = problem.initial.array
-    # fail fast on unconstrained parameters rather than inside the solver
-    _flow_rhs_array(sc.c, lam, problem.offdiag_tol)
-
     t_eval = _sample_times(problem.t_end, problem.samples_per_decade, problem.linear_samples)
-    meta = {
-        "t_end": problem.t_end,
-        "rel_tol": problem.rel_tol,
-        "abs_tol": problem.abs_tol,
-        "offdiag_tol": problem.offdiag_tol,
-    }
-
-    c = sc.c
-    breach_t: list[float] = []
-
-    def rhs(t, y):
-        try:
-            dydt, _ = _flow_rhs_array(c, y, problem.offdiag_tol)
-        except DiagonalityViolation:
-            breach_t.append(t)
-            raise
-        return dydt
+    meta = {"t_end": problem.t_end, "rel_tol": problem.rel_tol, "abs_tol": problem.abs_tol}
 
     def positivity(t, y):
         return float(np.min(y)) - POSITIVITY_FLOOR
@@ -282,36 +268,21 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
     positivity.terminal = True
     positivity.direction = -1.0
 
-    t_hi = problem.t_end
-    eval_times = t_eval
-    termination = TERM_REACHED
-    for _attempt in range(4):
-        try:
-            sol = solve_ivp(
-                rhs,
-                (0.0, t_hi),
-                lam,
-                method="DOP853",
-                t_eval=eval_times,
-                rtol=problem.rel_tol,
-                atol=problem.abs_tol,
-                max_step=0.1 * (t_hi + 1.0),
-                events=positivity,
-            )
-            break
-        except DiagonalityViolation:
-            # salvage the part of the run before the breach
-            t_bad = breach_t[-1]
-            t_hi = 0.95 * t_bad
-            eval_times = t_eval[t_eval <= t_hi]
-            termination = TERM_DIAGONALITY
-            if t_hi <= 0.0 or eval_times.size == 0:
-                raise
-    else:  # pragma: no cover - repeated mid-run breaches
-        raise DiagonalityViolation("could not truncate run before diagonality breach")
+    sol = solve_ivp(
+        lambda t, y: terms.rhs(y),
+        (0.0, problem.t_end),
+        lam,
+        method="DOP853",
+        t_eval=t_eval,
+        rtol=problem.rel_tol,
+        atol=problem.abs_tol,
+        max_step=0.1 * (problem.t_end + 1.0),
+        events=positivity,
+    )
 
     times = sol.t
     coeffs = sol.y.T
+    termination = TERM_REACHED
     if sol.status == 1:  # terminal event
         termination = TERM_POSITIVITY
         t_ev = float(sol.t_events[0][0])
@@ -327,16 +298,13 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
         coeffs = np.vstack([lam, coeffs])
 
     coeffs = np.maximum(coeffs, POSITIVITY_FLOOR)  # event endpoint may sit at the floor
-    offdiag = np.empty(times.size)
-    for i in range(times.size):
-        _, offdiag[i] = _flow_rhs_array(c, coeffs[i], np.inf)
     drift = _drift_series(problem.model, coeffs)
 
     return Trajectory(
         times=times,
         coeffs=coeffs,
         max_drift=drift,
-        max_offdiag=offdiag,
+        max_offdiag=np.zeros(times.size),
         termination=termination,
         model=problem.model,
         params=params,

@@ -1,24 +1,25 @@
 """Conserved quantities of the diagonal flows.
 
 A monomial prod_i g_i^{e_i} is conserved iff sum_i e_i * (dg_i/dt)/g_i
-vanishes identically.  Detection evaluates that linear condition at a batch
-of random positive metrics (a probabilistic identity test: a spurious
-vector would have to be orthogonal to 25 independent random evaluations to
-within 1e-10, which does not happen for exponents of this size), then
-canonicalizes the surviving integer vectors to a Hermite-style lattice
-basis so results are deterministic.
+vanishes identically.  Each rate (dg_i/dt)/g_i is an exact finite sum of
+Laurent monomials (:func:`solvflow.curvature.compile_flow`), and distinct
+monomials are linearly independent functions, so the condition is the
+linear system M e = 0 with one row per rate monomial.  Detection returns
+the canonical Hermite basis of its integer kernel: the full lattice of
+conserved monomials, with no search box and no sampling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import catalog
 from .catalog import InvariantMonomial, ModelId, SpecialInvariant
-from .curvature import _flow_rhs_array
+from .curvature import compile_flow
 from .flow import Trajectory
 from .liecore import StructureConstants
 
@@ -34,12 +35,8 @@ __all__ = [
     "in_lattice",
 ]
 
-DETECT_POINTS = 25
-DETECT_TOL = 1e-10
-
-
 # ---------------------------------------------------------------------------
-# integer lattice utilities (5 columns; exact arithmetic on Python ints)
+# integer lattice utilities (exact arithmetic on Python ints)
 # ---------------------------------------------------------------------------
 
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -65,12 +62,13 @@ def hermite_basis(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Canonical (Hermite-style) basis of the integer row lattice.
 
     Echelon rows with positive pivots, entries above each pivot reduced to
-    [0, pivot); deterministic regardless of input order.
+    [0, pivot); deterministic regardless of input order.  All rows must
+    have the same length.
     """
-    ncols = 5
     basis: dict[int, list[int]] = {}
     for row in rows:
         v = [int(x) for x in row]
+        ncols = len(v)
         for col in range(ncols):
             if v[col] == 0:
                 continue
@@ -123,54 +121,37 @@ def in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
 # detection
 # ---------------------------------------------------------------------------
 
-def _log_rates(sc: StructureConstants, metrics: np.ndarray) -> np.ndarray:
-    """(n_points, 5) array of (dg_i/dt)/g_i at the given positive metrics."""
-    out = np.empty_like(metrics)
-    for j, g in enumerate(metrics):
-        rhs, _ = _flow_rhs_array(sc.c, g, np.inf)
-        out[j] = rhs / g
-    return out
-
-
-def _enumerate_box(max_exp: int) -> np.ndarray:
-    rng = np.arange(-max_exp, max_exp + 1)
-    grid = np.meshgrid(*([rng] * 5), indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, 5)
+def _integer_row(values: Sequence[float]) -> list[int]:
+    """The floats scaled exactly to integers by their common denominator."""
+    fracs = [Fraction(float(x)) for x in values]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * scale) for f in fracs]
 
 
 def detect_monomials_brackets(
     sc: StructureConstants,
     max_exp: int,
     named: Sequence[InvariantMonomial] = (),
-    n_points: int = DETECT_POINTS,
-    tol: float = DETECT_TOL,
     seed: int | None = 0,
 ) -> list[InvariantMonomial]:
-    """All primitive exponent vectors with |e_i| <= max_exp conserved by the
-    flow of ``sc``, reduced to a canonical lattice basis.
+    """The full lattice of monomials conserved by the flow of ``sc``, as a
+    canonical basis.
 
-    Any of the ``named`` vectors lying in the detected lattice are listed
-    first (and count toward spanning it), so well-known combinations keep
-    their familiar form in the output.
+    Any of the ``named`` vectors lying in the lattice are listed first (and
+    count toward spanning it), so well-known combinations keep their
+    familiar form in the output.  ``max_exp`` and ``seed`` are accepted for
+    compatibility and have no effect: the lattice is exact, with no search
+    box and no random points (``max_exp < 1`` is still rejected).
     """
     if max_exp < 1:
         raise ValueError("max_exp must be a positive integer")
-    rng = np.random.default_rng(seed)
-    metrics = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n_points, 5)))
-    rates = _log_rates(sc, metrics)  # (n, 5)
-
-    vecs = _enumerate_box(max_exp)
-    resid = np.max(np.abs(vecs @ rates.T), axis=1)
-    keep = vecs[resid <= tol]
-    keep = keep[np.any(keep != 0, axis=1)]
-    if keep.size == 0:
-        return []
-    prim = np.gcd.reduce(np.abs(keep), axis=1) == 1
-    keep = keep[prim]
-    first = keep[np.arange(len(keep)), np.argmax(keep != 0, axis=1)]
-    keep = keep[first > 0]
-
-    basis = hermite_basis(keep.tolist())
+    # [M[:, p] | unit_p] span {[M x | x]}; in their echelon basis the rows
+    # that vanish on the M block span exactly the x with M x = 0
+    rates = compile_flow(sc).rates  # (monomials, dim): M
+    n_mono, dim = rates.shape
+    m = [_integer_row(r) for r in rates]
+    rows = [[mk[p] for mk in m] + [int(p == q) for q in range(dim)] for p in range(dim)]
+    basis = [row[n_mono:] for row in hermite_basis(rows) if not any(row[:n_mono])]
     out: list[InvariantMonomial] = []
     listed: set[tuple[int, ...]] = set()
     for named_mono in named:
@@ -190,20 +171,17 @@ def detect_monomials(
     model: ModelId,
     max_exp: int = 5,
     params=None,
-    n_points: int = DETECT_POINTS,
-    tol: float = DETECT_TOL,
     seed: int | None = 0,
 ) -> list[InvariantMonomial]:
     """Conserved monomials of a catalog model (constrained parameters by
-    default), with the model's named invariants listed first."""
+    default), with the model's named invariants listed first.  ``max_exp``
+    and ``seed`` have no effect, as in :func:`detect_monomials_brackets`."""
     model = ModelId(model)
     if params is None:
         params = catalog.constrained_params(model)
     sc = catalog.build_model(model, params)
     named = catalog.model_invariants(model).monomials
-    return detect_monomials_brackets(
-        sc, max_exp, named=named, n_points=n_points, tol=tol, seed=seed
-    )
+    return detect_monomials_brackets(sc, max_exp, named=named, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,7 @@ class VerifySession:
                     worst = max(worst, drift_report(traj, mono))
             items.append(CheckItem(f"{model.value} invariant drift over 20 runs to 1e4",
                                    worst < 1e-8, worst, 0.0, 1e-8))
-            detected = detect_monomials(model, max_exp=5, seed=self.seed)
+            detected = detect_monomials(model)
             have = [m.e for m in detected]
             missing = [str(m) for m in inv.monomials if m.e not in have]
             items.append(CheckItem(

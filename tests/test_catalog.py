@@ -66,6 +66,14 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="eps"):
             build_model(ModelId.D11, {"eps": 2.0})
 
+    def test_d11_explicit_zero_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            build_model(ModelId.D11, {"kappa": 1.0, "eps": 0.0})
+
+    def test_d11_missing_eps_defaults_to_plus_one(self):
+        assert catalog._check_params(ModelId.D11, {"kappa": 1.0})["eps"] == 1.0
+        assert catalog._check_params(ModelId.D11, {"eps": -1.0})["eps"] == -1.0
+
     def test_tables_match_tensor_transformation(self):
         # the parameter formulas are exactly those induced by the
         # unitriangular change of basis
@@ -199,6 +207,11 @@ class TestMetadata:
             InitialData((1, 1, 1, 1))
         with pytest.raises(ValueError):
             InitialData((1, 1, -1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_initial_data_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            InitialData((1, 1, bad, 1, 1))
 
     def test_describe_payload(self):
         meta = describe(ModelId.D3)

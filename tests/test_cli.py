@@ -46,6 +46,15 @@ def test_bad_lambda_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("lam", ["nan,1,1,1,1", "1,inf,1,1,1", "1,1,0,1,1"])
+def test_nonfinite_lambda_usage_error(tmp_path, capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "D5", "--lambda", lam, "--t-end", "1",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "finite and strictly positive" in capsys.readouterr().err
+
+
 def test_flow_csv_output(tmp_path, capsys):
     out = tmp_path / "d5.csv"
     rc = main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "1",

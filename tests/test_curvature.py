@@ -2,12 +2,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from solvflow import catalog
 from solvflow.catalog import ModelId, build_model, constrained_params
 from solvflow.curvature import (
     DiagonalityViolation,
     DiagonalMetric,
     NonpositiveMetricError,
+    compile_flow,
     flow_rhs,
     ricci_quadratic,
     ricci_tensor,
@@ -203,3 +206,62 @@ class TestFlowRhs:
         for _ in range(5):
             g = DiagonalMetric(tuple(np.exp(rng.uniform(-2, 2, 5))))
             assert np.all(flow_rhs(sc, g) == 0.0)
+
+
+def compiled_ricci(sc, g):
+    """Ricci form in the orthonormal frame, evaluated from the compiled
+    monomial terms alone."""
+    terms = compile_flow(sc)
+    ric = np.diag(terms.rhs(g) / (-2.0 * g))
+    for p, q, e, coef in terms.offdiag:
+        val = coef * np.prod(g ** np.array(e))
+        ric[p, q] += val
+        ric[q, p] += val
+    return ric
+
+
+class TestCompiledTerms:
+    def test_constrained_tables_have_no_offdiag_terms(self):
+        for model in ModelId:
+            assert compile_flow(constrained(model)).offdiag == (), model
+        sc = build_model(ModelId.D11, constrained_params(ModelId.D11, eps=-1.0))
+        assert compile_flow(sc).offdiag == ()
+
+    def test_d1_alpha_leaves_two_offdiag_monomials(self):
+        terms = compile_flow(build_model(ModelId.D1, {"alpha": 1.0}))
+        assert [(p, q) for p, q, _, _ in terms.offdiag] == [(1, 2), (3, 4)]
+
+    def test_d5_cancelling_terms_dropped(self):
+        # D is frozen: its two diagonal Ricci terms cancel exactly
+        terms = compile_flow(constrained(ModelId.D5))
+        assert np.all(terms.rates[:, 3] == 0.0)
+
+    def test_abelian_has_no_terms(self):
+        terms = compile_flow(StructureConstants.zero(5))
+        assert terms.exps.shape == (0, 5) and terms.offdiag == ()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelId)),
+        a=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+        eps=st.sampled_from([1.0, -1.0]),
+        constrained=st.booleans(),
+        log_g=st.lists(st.floats(-2.3, 2.3), min_size=5, max_size=5),
+    )
+    def test_matches_einsum_and_brute_force(self, model, a, eps, constrained, log_g):
+        if constrained:
+            params = catalog.constrained_params(model, eps) if model is ModelId.D11 \
+                else catalog.constrained_params(model)
+        else:
+            params = catalog.params_from_basis_change(model, a, eps=eps)
+        sc = build_model(model, params)
+        g = np.exp(np.array(log_g))
+        got = compiled_ricci(sc, g)
+        einsum = ricci_tensor(sc, DiagonalMetric(tuple(g))).entries
+        brute = ricci_brute_force(unit_frame_brackets(sc, DiagonalMetric(tuple(g))).c)
+        scale = max(1.0, float(np.max(np.abs(einsum))))
+        assert np.max(np.abs(got - einsum)) <= 1e-12 * scale
+        assert np.max(np.abs(got - brute)) <= 1e-12 * scale
+        if constrained:
+            assert compile_flow(sc).offdiag == ()
+

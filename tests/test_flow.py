@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solvflow import flow
 from solvflow.catalog import InitialData, ModelId
 from solvflow.curvature import DiagonalityViolation
 from solvflow.flow import (
@@ -79,13 +80,23 @@ class TestIntegrate:
         traj = run(ModelId.D11, (1, 2, 1, 1, 1), 10.0)
         assert np.all(traj.coeffs[:, 1] > traj.coeffs[:, 2])
 
-    def test_unconstrained_parameters_raise(self):
+    def test_unconstrained_parameters_raise(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(flow, "solve_ivp", no_solver)  # raised before any step
         problem = FlowProblem(
             ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0,
             params={"alpha": 1.0, "beta": 0.0, "gamma": 0.0},
         )
         with pytest.raises(DiagonalityViolation):
             integrate(problem)
+
+    def test_offdiag_column_is_exactly_zero(self):
+        for model in ModelId:
+            traj = run(model, (1.0, 2.0, 1.5, 0.7, 1.3), 100.0)
+            assert np.all(traj.max_offdiag == 0.0), model
+            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol"}
 
     def test_non_lie_brackets_rejected(self):
         bad = StructureConstants.from_brackets(

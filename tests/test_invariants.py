@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solvflow.catalog import InitialData, InvariantMonomial, ModelId, model_invariants
-from solvflow.curvature import _flow_rhs_array
+from solvflow.curvature import DiagonalMetric, ricci_tensor
 from solvflow.flow import FlowProblem, Trajectory, integrate
 from solvflow.invariants import (
     detect_monomials,
@@ -15,6 +16,11 @@ from solvflow.invariants import (
 )
 from solvflow.liecore import StructureConstants
 from solvflow import catalog
+
+
+def log_rates(sc, g):
+    """(dg_p/dt)/g_p = -2 Ric(Yhat_p, Yhat_p) from the einsum Ricci tensor."""
+    return -2.0 * ricci_tensor(sc, DiagonalMetric(tuple(g))).diagonal
 
 
 def run(model, lam, t_end, **kw):
@@ -49,6 +55,11 @@ class TestLattice:
         assert in_lattice([1, 0, -1, 2, 1], basis)  # difference of the two
         assert in_lattice([0, 0, 0, 0, 0], basis)
         assert not in_lattice([1, 0, 0, 0, 0], basis)
+
+    def test_any_number_of_columns(self):
+        basis = hermite_basis([[2, 4, 0, 1, 0, 0, 3], [1, 2, 1, 0, 0, 0, 0]])
+        assert basis == [(1, 2, 1, 0, 0, 0, 0), (0, 0, 2, -1, 0, 0, -3)]
+        assert hermite_basis([[0, 3, 6]]) == [(0, 3, 6)]
 
     def test_order_independent(self):
         rows = [[1, 2, 0, -1, 3], [0, 1, 1, 1, 0], [2, 5, 1, -1, 6]]
@@ -98,10 +109,46 @@ class TestDetection:
             sc = catalog.build_model(model, catalog.constrained_params(model))
             found = detect_monomials(model, max_exp=5, seed=0)
             metrics = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(25, 5)))
-            rates = np.array([_flow_rhs_array(sc.c, g, np.inf)[0] / g for g in metrics])
+            rates = np.array([log_rates(sc, g) for g in metrics])
             for mono in found:
                 resid = np.max(np.abs(rates @ np.array(mono.e, dtype=float)))
                 assert resid < 1e-10, (model, mono.e, resid)
+
+    def test_lattice_per_model(self):
+        want = {
+            ModelId.D1: [(1, 1, 1, 0, 0), (1, 1, 0, 0, 1), (1, 0, 1, 1, 0), (1, 0, 0, 1, 1)],
+            ModelId.D2: [(1, 1, 1, 0, 0), (2, 1, 0, 2, 1)],
+            ModelId.D3: [(5, 4, 3, 2, 1)],
+            ModelId.D5: [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 1, 0)],
+            ModelId.D11: [(2, 1, 1, 2, 0)],
+        }
+        for model, vecs in want.items():
+            assert [m.e for m in detect_monomials(model)] == vecs, model
+
+    def test_max_exp_and_seed_have_no_effect(self):
+        for model in ModelId:
+            ref = [m.e for m in detect_monomials(model)]
+            assert [m.e for m in detect_monomials(model, max_exp=1, seed=3)] == ref
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelId)),
+        a=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+        eps=st.sampled_from([1.0, -1.0]),
+        constrained=st.booleans(),
+        log_g=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+    )
+    def test_detected_vectors_conserved_for_random_tables(self, model, a, eps, constrained,
+                                                           log_g):
+        if constrained:
+            params = catalog.constrained_params(model, eps) if model is ModelId.D11 \
+                else catalog.constrained_params(model)
+        else:
+            params = catalog.params_from_basis_change(model, a, eps=eps)
+        rates = log_rates(catalog.build_model(model, params), np.exp(log_g))
+        for mono in detect_monomials(model, params=params):
+            resid = abs(rates @ np.array(mono.e, dtype=float))
+            assert resid <= 1e-12 * np.sum(np.abs(rates) * np.abs(mono.e)), mono.e
 
     def test_named_invariants_in_detected_lattice(self):
         for model in ModelId:
