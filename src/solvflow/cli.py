@@ -80,8 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True,
                    metavar="l1,l2,l3,l4,l5", help="initial metric coefficients")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-11)
-    p.add_argument("--atol", type=float, default=1e-13)
+    p.add_argument("--rtol", type=float, default=1e-11,
+                   help="relative tolerance on log g")
+    p.add_argument("--atol", type=float, default=1e-13,
+                   help="absolute tolerance on log g, i.e. on the relative error in g")
     p.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                    help="sign parameter for D11")
     p.add_argument("--per-decade", type=int, default=64)

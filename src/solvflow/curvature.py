@@ -35,7 +35,7 @@ __all__ = [
     "ricci_quadratic",
     "ricci_tensor",
     # FlowTerms is not listed: perfbench/tracing.py wraps the methods of
-    # listed classes, and FlowTerms.rhs runs at every solver stage
+    # listed classes, and FlowTerms.log_rhs runs at every solver stage
     "compile_flow",
     "flow_rhs",
 ]
@@ -172,7 +172,7 @@ class FlowTerms:
     """The diagonal flow of one bracket table as Laurent monomials.
 
     ``rates[k, p]`` is the coefficient of prod_i g_i^exps[k, i] in
-    (dg_p/dt)/g_p = -2 Ric(Yhat_p, Yhat_p).  ``offdiag`` lists the
+    d(log g_p)/dt = -2 Ric(Yhat_p, Yhat_p).  ``offdiag`` lists the
     off-diagonal Ricci monomials that survive cancellation, as
     (p, q, exponents, coefficient) with p < q; the flow keeps diagonal
     metrics diagonal exactly when it is empty.
@@ -182,9 +182,9 @@ class FlowTerms:
     rates: np.ndarray = field(repr=False)
     offdiag: tuple[tuple[int, int, tuple[float, ...], float], ...]
 
-    def rhs(self, g: np.ndarray) -> np.ndarray:
-        """dg/dt at positive coefficients g (shape (..., dim))."""
-        return g * (np.exp(np.log(g) @ self.exps.T) @ self.rates)
+    def log_rhs(self, u: np.ndarray) -> np.ndarray:
+        """du/dt at u = log g (shape (..., dim))."""
+        return np.exp(u @ self.exps.T) @ self.rates
 
     def check_diagonal(self) -> None:
         if self.offdiag:
@@ -254,4 +254,5 @@ def flow_rhs(sc: StructureConstants, g: DiagonalMetric) -> np.ndarray:
     """
     terms = compile_flow(sc)
     terms.check_diagonal()
-    return terms.rhs(g.array)
+    g = g.array
+    return g * terms.log_rhs(np.log(g))

@@ -212,7 +212,7 @@ def compiled_ricci(sc, g):
     """Ricci form in the orthonormal frame, evaluated from the compiled
     monomial terms alone."""
     terms = compile_flow(sc)
-    ric = np.diag(terms.rhs(g) / (-2.0 * g))
+    ric = np.diag(terms.log_rhs(np.log(g)) / -2.0)
     for p, q, e, coef in terms.offdiag:
         val = coef * np.prod(g ** np.array(e))
         ric[p, q] += val

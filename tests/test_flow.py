@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from solvflow import flow
+from solvflow import catalog, flow
 from solvflow.catalog import InitialData, ModelId
 from solvflow.curvature import DiagonalityViolation
+from solvflow.invariants import drift_report
 from solvflow.flow import (
     FlowProblem,
     Trajectory,
@@ -41,6 +44,12 @@ class TestIntegrate:
     def test_first_sample_is_initial_data(self, d5_unit_10):
         assert d5_unit_10.times[0] == 0.0
         assert np.array_equal(d5_unit_10.coeffs[0], np.ones(5))
+
+    def test_first_sample_is_bitwise_initial_data(self):
+        # exp(log(x)) != x for these values; the t=0 sample must still be lam
+        lam = (2.76, 2.78, 2.82, 2.89, 2.93)
+        traj = integrate_brackets(StructureConstants.zero(5), lam, 1.0)
+        assert np.array_equal(traj.coeffs[0], lam)
 
     def test_times_strictly_increasing(self, d5_unit_10):
         assert np.all(np.diff(d5_unit_10.times) > 0)
@@ -80,6 +89,29 @@ class TestIntegrate:
         traj = run(ModelId.D11, (1, 2, 1, 1, 1), 10.0)
         assert np.all(traj.coeffs[:, 1] > traj.coeffs[:, 2])
 
+    def test_named_monomials_conserved_to_rounding(self):
+        # in u = log g each named monomial is a linear first integral, which
+        # Runge-Kutta steps preserve up to rounding
+        rng = np.random.default_rng(4)
+        for model in ModelId:
+            lam = rng.uniform(0.5, 2.0, 5)
+            traj = integrate(FlowProblem(model, InitialData(tuple(lam)), 1e4))
+            for mono in catalog.model_invariants(model).monomials:
+                assert drift_report(traj, mono) <= 1e-12, (model, str(mono))
+
+    def test_finite_time_collapse_stops_with_positive_samples(self):
+        # su(2) + R^2: A = B = C = 1 - t collapses at t = 1
+        su2 = StructureConstants.from_brackets(
+            5, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_brackets(su2, (1, 1, 1, 1, 1), 10.0)
+        assert traj.termination == "step_failure"
+        assert traj.meta["solver_message"]
+        assert traj.times[-1] < 10.0
+        assert np.all(np.isfinite(traj.coeffs)) and np.all(traj.coeffs > 0.0)
+        assert 0.9 <= traj.times[-1] <= 1.0
+
     def test_unconstrained_parameters_raise(self, monkeypatch):
         def no_solver(*args, **kwargs):
             raise AssertionError("solver called")
@@ -96,7 +128,7 @@ class TestIntegrate:
         for model in ModelId:
             traj = run(model, (1.0, 2.0, 1.5, 0.7, 1.3), 100.0)
             assert np.all(traj.max_offdiag == 0.0), model
-            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol"}
+            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "nfev"}
 
     def test_non_lie_brackets_rejected(self):
         bad = StructureConstants.from_brackets(
