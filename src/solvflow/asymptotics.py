@@ -291,7 +291,7 @@ def residual_check(model: ModelId, case: str, traj: Trajectory) -> float:
         return _rel_drift(resid, 1.0 / A)
 
     if model is ModelId.D11:
-        prod = A**2 * B * C * D**2
-        return float(np.max(np.abs(prod / prod[0] - 1.0)))
+        (product,) = catalog.model_invariants(model).monomials
+        return product.drift(traj.coeffs)
 
     raise ValueError(f"no exact relations recorded for {model.value} {case!r}")

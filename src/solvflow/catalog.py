@@ -114,6 +114,11 @@ class InvariantMonomial:
         g = np.asarray(coeffs, dtype=float)
         return np.exp(np.log(g) @ np.array(self.e, dtype=float))
 
+    def drift(self, coeffs: np.ndarray) -> float:
+        """Worst relative drift max |v/v0 - 1| of the value along samples."""
+        vals = self.value(coeffs)
+        return float(np.max(np.abs(vals / vals[0] - 1.0)))
+
     def __str__(self) -> str:
         names = "ABCDE"
         parts = []

@@ -80,22 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True,
                    metavar="l1,l2,l3,l4,l5", help="initial metric coefficients")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-11,
+    p.add_argument("--rtol", type=float, default=FlowProblem.rel_tol,
                    help="relative tolerance on log g")
-    p.add_argument("--atol", type=float, default=1e-13,
+    p.add_argument("--atol", type=float, default=FlowProblem.abs_tol,
                    help="absolute tolerance on log g, i.e. on the relative error in g")
     p.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                    help="sign parameter for D11")
-    p.add_argument("--per-decade", type=int, default=64)
+    p.add_argument("--per-decade", type=int, default=FlowProblem.samples_per_decade)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("invariants", help="detect conserved monomials")
     p.add_argument("model", type=_model_arg)
-    p.add_argument("--max-exp", type=int, default=5,
-                   help="accepted for compatibility; detection is exact, with no search box")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for compatibility; detection draws no random points")
 
     p = sub.add_parser("fit", help="fit a power law to one trajectory component")
     p.add_argument("--in", dest="path", required=True)
@@ -158,7 +154,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    found = detect_monomials(args.model, max_exp=args.max_exp, seed=args.seed)
+    found = detect_monomials(args.model)
     if not found:
         print("no conserved monomials detected")
         return 0

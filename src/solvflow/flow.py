@@ -43,7 +43,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = ("t", "A", "B", "C", "D", "E", "max_drift", "max_offdiag")
+CSV_HEADER = ("t", "A", "B", "C", "D", "E")
 
 TERM_REACHED = "reached_t_end"
 TERM_STEP_FAILURE = "step_failure"
@@ -69,8 +69,8 @@ class FlowProblem:
     linear_samples: int = 33
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         for name in ("rel_tol", "abs_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -90,18 +90,18 @@ class FlowProblem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow: times, coefficients and per-sample diagnostics.
+    """Sampled flow: strictly increasing finite times and the finite,
+    positive coefficients (A, B, C, D, E) at each of them.
 
-    ``max_drift`` is the worst relative drift of the model's conserved
-    monomials up to that sample.  ``max_offdiag`` is the off-diagonal Ricci
-    component at the sample; :func:`integrate` only runs tables whose
-    off-diagonal monomials all cancel, so it writes 0.0 throughout.
+    ``meta`` says how the run was produced (tolerances, solver, ``nfev``)
+    and, for a catalog model, the worst relative drift of its named
+    conserved monomials over the run (``max_drift``).  Diagonality needs no
+    per-sample record: :func:`integrate` refuses, before solving, any
+    brackets whose off-diagonal Ricci monomials do not all cancel.
     """
 
     times: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
-    max_drift: np.ndarray = field(repr=False)
-    max_offdiag: np.ndarray = field(repr=False)
     termination: str
     model: ModelId | None = None
     params: dict | None = None
@@ -114,13 +114,13 @@ class Trajectory:
             raise ValueError("trajectory arrays have inconsistent shapes")
         if t.size == 0:
             raise ValueError("trajectory must contain at least one sample")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
+            raise ValueError("sample times and coefficients must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if np.any(g <= 0):
             raise ValueError("sampled metrics must be positive")
-        for name, arr in (("times", t), ("coeffs", g),
-                          ("max_drift", np.asarray(self.max_drift, dtype=float)),
-                          ("max_offdiag", np.asarray(self.max_offdiag, dtype=float))):
+        for name, arr in (("times", t), ("coeffs", g)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -146,23 +146,21 @@ class Trajectory:
             w = _csv.writer(fh)
             w.writerow(CSV_HEADER)
             for i in range(len(self)):
-                row = [self.times[i], *self.coeffs[i], self.max_drift[i], self.max_offdiag[i]]
-                w.writerow([repr(float(x)) for x in row])
+                w.writerow([repr(float(x)) for x in (self.times[i], *self.coeffs[i])])
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
         with open(path, newline="") as fh:
             r = _csv.reader(fh)
             header = tuple(next(r))
-            if header != CSV_HEADER:
+            # later columns, such as the two diagnostic ones of older files, are ignored
+            if header[:len(CSV_HEADER)] != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header}")
-            rows = [[float(x) for x in row] for row in r if row]
+            rows = [[float(x) for x in row[:len(CSV_HEADER)]] for row in r if row]
         data = np.array(rows)
         return cls(
             times=data[:, 0],
             coeffs=data[:, 1:6],
-            max_drift=data[:, 6],
-            max_offdiag=data[:, 7],
             termination="unknown",
         )
 
@@ -179,8 +177,6 @@ class Trajectory:
                     name: [float(x) for x in self.coeffs[:, k]]
                     for k, name in enumerate("ABCDE")
                 },
-                "max_drift": [float(x) for x in self.max_drift],
-                "max_offdiag": [float(x) for x in self.max_offdiag],
             },
         }
 
@@ -198,8 +194,6 @@ class Trajectory:
         return cls(
             times=np.asarray(s["t"], dtype=float),
             coeffs=coeffs,
-            max_drift=np.asarray(s["max_drift"], dtype=float),
-            max_offdiag=np.asarray(s["max_offdiag"], dtype=float),
             termination=doc.get("termination", "unknown"),
             model=ModelId(doc["model"]) if doc.get("model") else None,
             params=doc.get("params"),
@@ -227,19 +221,6 @@ def _sample_times(t_end: float, per_decade: int, linear_samples: int) -> np.ndar
     logt = np.logspace(0.0, decades, n_log)[1:]
     logt[-1] = t_end
     return np.unique(np.concatenate([lin, logt]))
-
-
-def _drift_series(model: ModelId | None, coeffs: np.ndarray) -> np.ndarray:
-    if model is None:
-        return np.zeros(coeffs.shape[0])
-    monos = catalog.model_invariants(model).monomials
-    if not monos:
-        return np.zeros(coeffs.shape[0])
-    worst = np.zeros(coeffs.shape[0])
-    for m in monos:
-        vals = m.value(coeffs)
-        worst = np.maximum(worst, np.abs(vals / vals[0] - 1.0))
-    return worst
 
 
 def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Trajectory:
@@ -289,13 +270,12 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
         coeffs = np.vstack([lam, coeffs])
     coeffs[0] = lam  # exp(log(lam)) can be an ulp off the initial data
 
-    drift = _drift_series(problem.model, coeffs)
+    monos = () if problem.model is None else catalog.model_invariants(problem.model).monomials
+    meta["max_drift"] = max((m.drift(coeffs) for m in monos), default=0.0)
 
     return Trajectory(
         times=times,
         coeffs=coeffs,
-        max_drift=drift,
-        max_offdiag=np.zeros(times.size),
         termination=termination,
         model=problem.model,
         params=params,
@@ -337,15 +317,11 @@ def resample_log(traj: Trajectory, per_decade: int) -> Trajectory:
         new_g[:, k] = np.exp(interp(new_logt))
     new_g[0], new_g[-1] = g[0], g[-1]
 
-    drift = np.interp(new_logt, logt, traj.max_drift[mask])
-    offd = np.interp(new_logt, logt, traj.max_offdiag[mask])
     meta = dict(traj.meta)
     meta["resampled_per_decade"] = per_decade
     return Trajectory(
         times=new_t,
         coeffs=new_g,
-        max_drift=drift,
-        max_offdiag=offd,
         termination=traj.termination,
         model=traj.model,
         params=traj.params,

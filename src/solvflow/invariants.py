@@ -190,8 +190,7 @@ def detect_monomials(
 
 def drift_report(traj: Trajectory, inv: InvariantMonomial) -> float:
     """Worst relative drift of the monomial from its initial value."""
-    vals = inv.value(traj.coeffs)
-    return float(np.max(np.abs(vals / vals[0] - 1.0)))
+    return inv.drift(traj.coeffs)
 
 
 def special_drift(

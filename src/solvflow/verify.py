@@ -27,7 +27,7 @@ from . import catalog
 from .catalog import InitialData, ModelId
 from .curvature import DiagonalMetric, flow_rhs, ricci_quadratic, ricci_tensor
 from .flow import FlowProblem, Trajectory, integrate, integrate_brackets
-from .invariants import detect_monomials, drift_report
+from .invariants import detect_monomials, drift_report, ratio_diagnostics
 from .liecore import StructureConstants, jacobi_residual, unimodularity_defect
 from .asymptotics import (
     ClosedFormSolution,
@@ -488,19 +488,19 @@ class VerifySession:
             return []
         items = []
         gen = self.run("d2_generic_1e6")
-        A, B, C = (gen.coeffs[:, i] for i in (0, 1, 2))
+        (ratio,) = ratio_diagnostics(ModelId.D2, gen)
         i4 = int(np.argmin(np.abs(gen.times - 1e4)))
-        ratio_dev = abs(float(A[i4] * C[i4] / B[i4] ** 2) - 1.0)
+        ratio_dev = abs(float(ratio.values[i4]) - 1.0)
         items.append(CheckItem("D2 generic AC/B^2 -> 1 at t=1e4",
                                ratio_dev < 1e-3, ratio_dev, 0.0, 1e-3))
         lam = gen.coeffs[0]
         b_inf = float(lam[0] * lam[1] * lam[2]) ** (1.0 / 3.0)
-        b_dev = abs(float(B[i4]) - b_inf)
+        b_dev = abs(float(gen.coeffs[i4, 1]) - b_inf)
         items.append(CheckItem("D2 generic B -> (l1 l2 l3)^(1/3) by t=1e4",
                                b_dev < 1e-3, b_dev, 0.0, 1e-3))
         bern = self.run("d2_case1_bern_1e4")
-        A, B, C = (bern.coeffs[:, i] for i in (0, 1, 2))
-        cons = float(np.max(np.abs(A * C / B**2 - 1.0)))
+        (ratio,) = ratio_diagnostics(ModelId.D2, bern)
+        cons = float(np.max(np.abs(ratio.values - 1.0)))
         items.append(CheckItem("D2 case1 AC/B^2 exactly conserved at 1",
                                cons < 1e-8, cons, 0.0, 1e-8))
         res = residual_check(ModelId.D2, "case1", bern)
@@ -512,18 +512,9 @@ class VerifySession:
         if ModelId.D3 not in self.models:
             return []
         items = []
-        traj = self.run("d3_unit_1e6")
-        A, B, C, D, E = (traj.coeffs[:, i] for i in range(5))
-        x, y = A / (B * E), A / (C * D)
-        z, w = B / (C * E), C / (D * E)
-        for name, val, target in (
-            ("x/y", float(x[-1] / y[-1]), 1.0),
-            ("z/w", float(z[-1] / w[-1]), 1.0),
-            ("x/z", float(x[-1] / z[-1]), 2.0 / 3.0),
-            ("y/w", float(y[-1] / w[-1]), 2.0 / 3.0),
-        ):
-            items.append(CheckItem(f"D3 ratio {name} at t=1e6",
-                                   abs(val - target) <= 0.01, val, target, 0.01))
+        for d in ratio_diagnostics(ModelId.D3, self.run("d3_unit_1e6")):
+            items.append(CheckItem(f"D3 ratio {d.name} at t=1e6",
+                                   abs(d.final - d.target) <= 0.01, d.final, d.target, 0.01))
         sol = _solve_k_system()
         expect = (Fraction(2, 11), Fraction(2, 11), Fraction(3, 11), Fraction(3, 11))
         items.append(CheckItem(

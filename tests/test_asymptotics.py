@@ -25,8 +25,7 @@ def run(model, lam, t_end, **kw):
 def synthetic_power_law(exponent, lo=1.0, hi=1e4, n=200):
     t = np.geomspace(lo, hi, n)
     g = np.column_stack([t**exponent] * 5)
-    return Trajectory(times=t, coeffs=g, max_drift=np.zeros(n),
-                      max_offdiag=np.zeros(n), termination="reached_t_end")
+    return Trajectory(times=t, coeffs=g, termination="reached_t_end")
 
 
 class TestClosedForms:
@@ -162,7 +161,6 @@ class TestD1Relations:
         # satisfies B^2 = w C^2 + k identically
         t = np.linspace(0, 5, 30)
         traj = Trajectory(times=t, coeffs=np.ones((30, 5)),
-                          max_drift=np.zeros(30), max_offdiag=np.zeros(30),
                           termination="reached_t_end", model=ModelId.D1)
         c = d1_pair_constants((1, 1, 1, 1, 1))
         B, C = traj.coeffs[:, 1], traj.coeffs[:, 2]

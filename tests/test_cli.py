@@ -77,7 +77,7 @@ def test_flow_json_output(tmp_path):
 
 
 def test_invariants_output(capsys):
-    assert main(["invariants", "D2", "--max-exp", "2"]) == 0
+    assert main(["invariants", "D2"]) == 0
     out = capsys.readouterr().out
     assert "(1, 1, 1, 0, 0)" in out
     assert "(2, 1, 0, 2, 1)" in out
@@ -102,6 +102,30 @@ def test_fit_round_trip_bit_identical(tmp_path, capsys):
     printed = next(l for l in out.splitlines() if l.startswith("exponent:"))
     assert float(printed.split()[1]) == in_process.exponent
     assert in_process.exponent == pytest.approx(4 / 7, abs=0.01)
+
+
+def test_fit_nonfinite_cell_usage_error(tmp_path, capsys):
+    b = np.geomspace(1.0, 1e4, 50) ** 0.25
+    b[40] = np.nan
+    # the older eight-column layout, which both old and new readers accept
+    rows = [f"{t},1,{x},1,1,1,0.0,0.0" for t, x in zip(np.geomspace(1.0, 1e4, 50), b)]
+    path = tmp_path / "nan.csv"
+    path.write_text("t,A,B,C,D,E,max_drift,max_offdiag\n" + "\n".join(rows) + "\n")
+    assert main(["fit", "--in", str(path), "--component", "B"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
+    assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "inf",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_invariants_retired_flags(capsys):
+    for flag in ("--max-exp", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "D2", flag, "2"])
+        assert exc.value.code == 2
 
 
 def test_fit_missing_file():

@@ -1,3 +1,5 @@
+import json
+import math
 import warnings
 
 import numpy as np
@@ -127,8 +129,10 @@ class TestIntegrate:
     def test_offdiag_column_is_exactly_zero(self):
         for model in ModelId:
             traj = run(model, (1.0, 2.0, 1.5, 0.7, 1.3), 100.0)
-            assert np.all(traj.max_offdiag == 0.0), model
-            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "nfev"}
+            # diagonality is decided before the solve; no per-sample record
+            assert not hasattr(traj, "max_offdiag"), model
+            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "nfev",
+                                      "max_drift"}
 
     def test_non_lie_brackets_rejected(self):
         bad = StructureConstants.from_brackets(
@@ -140,13 +144,18 @@ class TestIntegrate:
     def test_invalid_problem(self):
         with pytest.raises(ValueError):
             FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), -1.0)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), t_end)
         with pytest.raises(ValueError):
             FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0, rel_tol=2.0)
 
     def test_diagnostics_columns(self, d5_unit_10):
-        assert d5_unit_10.max_drift.shape == d5_unit_10.times.shape
-        assert np.max(d5_unit_10.max_drift) < 1e-10   # AB, AC conserved
-        assert np.max(d5_unit_10.max_offdiag) < 1e-14
+        assert d5_unit_10.meta["max_drift"] < 1e-10   # AB, AC conserved
+        assert d5_unit_10.meta["max_drift"] == max(
+            drift_report(d5_unit_10, m) for m in catalog.model_invariants(ModelId.D5).monomials)
+        abelian = integrate_brackets(StructureConstants.zero(5), (1, 2, 3, 4, 5), 10.0)
+        assert abelian.meta["max_drift"] == 0.0
 
 
 class TestResample:
@@ -159,8 +168,7 @@ class TestResample:
     def test_exact_power_law_recovered(self):
         t = np.linspace(1.0, 1000.0, 400)
         g = np.column_stack([t ** 0.25] * 5)
-        traj = Trajectory(times=t, coeffs=g, max_drift=np.zeros_like(t),
-                          max_offdiag=np.zeros_like(t), termination="reached_t_end")
+        traj = Trajectory(times=t, coeffs=g, termination="reached_t_end")
         res = resample_log(traj, 32)
         want = res.times[:, None] ** 0.25
         assert np.max(np.abs(res.coeffs / want - 1.0)) < 1e-6
@@ -168,7 +176,6 @@ class TestResample:
 
     def test_single_sample_rejected(self):
         traj = Trajectory(times=np.array([1.0]), coeffs=np.ones((1, 5)),
-                          max_drift=np.zeros(1), max_offdiag=np.zeros(1),
                           termination="reached_t_end")
         with pytest.raises(ValueError):
             resample_log(traj, 8)
@@ -185,14 +192,12 @@ class TestSerialization:
         back = Trajectory.read_csv(path)
         assert np.array_equal(back.times, d5_unit_10.times)
         assert np.array_equal(back.coeffs, d5_unit_10.coeffs)
-        assert np.array_equal(back.max_drift, d5_unit_10.max_drift)
-        assert np.array_equal(back.max_offdiag, d5_unit_10.max_offdiag)
 
     def test_csv_header(self, d5_unit_10, tmp_path):
         path = tmp_path / "run.csv"
         d5_unit_10.write_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "t,A,B,C,D,E,max_drift,max_offdiag"
+        assert header == "t,A,B,C,D,E"
 
     def test_json_round_trip(self, d5_unit_10, tmp_path):
         path = tmp_path / "run.json"
@@ -205,6 +210,32 @@ class TestSerialization:
         assert np.array_equal(back.coeffs, d5_unit_10.coeffs)
         assert back.meta["rel_tol"] == 1e-12
 
+    def test_old_csv_with_diagnostic_columns_loads(self, d5_unit_10, tmp_path):
+        path = tmp_path / "old.csv"
+        rows = ["t,A,B,C,D,E,max_drift,max_offdiag"]
+        for t, g in zip(d5_unit_10.times, d5_unit_10.coeffs):
+            rows.append(",".join(repr(float(x)) for x in (t, *g, 1e-15, 0.0)))
+        path.write_text("\n".join(rows) + "\n")
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.times, d5_unit_10.times)
+        assert np.array_equal(back.coeffs, d5_unit_10.coeffs)
+
+    def test_old_json_with_diagnostic_keys_loads(self, d5_unit_10, tmp_path):
+        doc = d5_unit_10.to_json_dict()
+        n = len(d5_unit_10)
+        doc["samples"]["max_drift"] = [1e-15] * n
+        doc["samples"]["max_offdiag"] = [0.0] * n
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        back = Trajectory.read_json(path)
+        assert np.array_equal(back.times, d5_unit_10.times)
+        assert np.array_equal(back.coeffs, d5_unit_10.coeffs)
+
+    def test_json_samples_carry_only_the_solution(self, d5_unit_10, tmp_path):
+        d5_unit_10.write_json(tmp_path / "run.json")
+        samples = json.loads((tmp_path / "run.json").read_text())["samples"]
+        assert set(samples) == {"t", "A", "B", "C", "D", "E"}
+
     def test_csv_rejects_other_headers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -216,13 +247,23 @@ class TestTrajectoryValidation:
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0, 0.5]), coeffs=np.ones((3, 5)),
-                       max_drift=np.zeros(3), max_offdiag=np.zeros(3),
                        termination="reached_t_end")
+
+    @pytest.mark.parametrize("where", ["times", "coeffs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_samples_rejected(self, where, bad):
+        t = np.array([0.0, 1.0, 2.0])
+        g = np.ones((3, 5))
+        if where == "times":
+            t[2] = bad
+        else:
+            g[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=t, coeffs=g, termination="reached_t_end")
 
     def test_nonpositive_metric_rejected(self):
         g = np.ones((3, 5))
         g[2, 1] = 0.0
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0, 2.0]), coeffs=g,
-                       max_drift=np.zeros(3), max_offdiag=np.zeros(3),
                        termination="reached_t_end")

@@ -171,7 +171,6 @@ class TestDrift:
     def test_constant_trajectory_zero_drift(self):
         t = np.linspace(0, 10, 20)
         traj = Trajectory(times=t, coeffs=np.ones((20, 5)) * 1.7,
-                          max_drift=np.zeros(20), max_offdiag=np.zeros(20),
                           termination="reached_t_end")
         assert drift_report(traj, InvariantMonomial((1, 1, 1, 0, 0))) == 0.0
 
@@ -184,7 +183,6 @@ class TestDrift:
         coeffs = traj.coeffs.copy()
         coeffs[7] *= 2.0  # injected fault: one sample scaled
         bad = Trajectory(times=traj.times, coeffs=coeffs,
-                         max_drift=traj.max_drift, max_offdiag=traj.max_offdiag,
                          termination=traj.termination, model=traj.model)
         assert drift_report(bad, InvariantMonomial((1, 1, 1, 0, 0))) >= 1.0
 
