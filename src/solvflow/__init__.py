@@ -30,7 +30,14 @@ from .curvature import (
     ricci_tensor,
     unit_frame_brackets,
 )
-from .flow import FlowProblem, Trajectory, integrate, integrate_brackets, resample_log
+from .flow import (
+    FlowProblem,
+    Trajectory,
+    integrate,
+    integrate_brackets,
+    integrate_many,
+    resample_log,
+)
 from .invariants import (
     RatioDiagnostic,
     detect_monomials,

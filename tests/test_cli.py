@@ -132,6 +132,17 @@ def test_fit_missing_file():
     assert main(["fit", "--in", "/nonexistent/x.csv", "--component", "A"]) == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    ("", "empty CSV file"),
+    ("t,A,B,C,D,E\n", "no samples"),
+])
+def test_fit_csv_without_samples_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "empty.csv"
+    path.write_text(content)
+    assert main(["fit", "--in", str(path), "--component", "A"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_single_model(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["check", "D5", "--seed", "0", "--out", str(out)])

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 import warnings
 
@@ -7,16 +9,18 @@ import pytest
 
 from solvflow import catalog, flow
 from solvflow.catalog import InitialData, ModelId
-from solvflow.curvature import DiagonalityViolation
+from solvflow.curvature import DiagonalityViolation, compile_flow
 from solvflow.invariants import drift_report
 from solvflow.flow import (
     FlowProblem,
     Trajectory,
     integrate,
     integrate_brackets,
+    integrate_many,
     resample_log,
 )
 from solvflow.liecore import StructureConstants
+from solvflow.verify import VerifySession
 
 
 def run(model, lam, t_end, **kw):
@@ -28,6 +32,27 @@ def run(model, lam, t_end, **kw):
 @pytest.fixture(scope="module")
 def d5_unit_10():
     return run(ModelId.D5, (1, 1, 1, 1, 1), 10.0)
+
+
+SU2 = StructureConstants.from_brackets(  # su(2) + R^2: round metrics collapse
+    5, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0})
+
+
+def no_solver(*args, **kwargs):
+    raise AssertionError("solver called")
+
+
+@pytest.fixture(scope="module")
+def criterion_4_batches():
+    """Criterion 4's seed-0 problems, 20 per model in its draw order, each
+    model's solved as one batch."""
+    rng = VerifySession(seed=0)._rng(4)
+    out = {}
+    for model in ModelId:
+        problems = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
+                    for _ in range(20)]
+        out[model] = (problems, integrate_many(problems))
+    return out
 
 
 class TestIntegrate:
@@ -103,11 +128,9 @@ class TestIntegrate:
 
     def test_finite_time_collapse_stops_with_positive_samples(self):
         # su(2) + R^2: A = B = C = 1 - t collapses at t = 1
-        su2 = StructureConstants.from_brackets(
-            5, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate_brackets(su2, (1, 1, 1, 1, 1), 10.0)
+            traj = integrate_brackets(SU2, (1, 1, 1, 1, 1), 10.0)
         assert traj.termination == "step_failure"
         assert traj.meta["solver_message"]
         assert traj.times[-1] < 10.0
@@ -115,9 +138,6 @@ class TestIntegrate:
         assert 0.9 <= traj.times[-1] <= 1.0
 
     def test_unconstrained_parameters_raise(self, monkeypatch):
-        def no_solver(*args, **kwargs):
-            raise AssertionError("solver called")
-
         monkeypatch.setattr(flow, "solve_ivp", no_solver)  # raised before any step
         problem = FlowProblem(
             ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0,
@@ -131,8 +151,21 @@ class TestIntegrate:
             traj = run(model, (1.0, 2.0, 1.5, 0.7, 1.3), 100.0)
             # diagonality is decided before the solve; no per-sample record
             assert not hasattr(traj, "max_offdiag"), model
-            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "nfev",
+            assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "batch_size",
+                                      "solver_rtol", "solver_atol", "nfev", "wall_s",
                                       "max_drift"}
+            assert traj.meta["batch_size"] == 1
+            assert (traj.meta["solver_rtol"], traj.meta["solver_atol"]) == (1e-12, 1e-14)
+            assert traj.meta["wall_s"] > 0.0
+
+    def test_debug_log_line_per_solve(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="solvflow.flow")
+        integrate_many([FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, lam)), 10.0)
+                        for lam in (1.0, 2.0, 3.0)])
+        [record] = [r for r in caplog.records if r.name == "solvflow.flow"]
+        line = record.getMessage()
+        assert "D5" in line and "M=3" in line and "t_end=10" in line
+        assert "nfev=" in line and "reached_t_end" in line
 
     def test_non_lie_brackets_rejected(self):
         bad = StructureConstants.from_brackets(
@@ -156,6 +189,89 @@ class TestIntegrate:
             drift_report(d5_unit_10, m) for m in catalog.model_invariants(ModelId.D5).monomials)
         abelian = integrate_brackets(StructureConstants.zero(5), (1, 2, 3, 4, 5), 10.0)
         assert abelian.meta["max_drift"] == 0.0
+
+
+class TestIntegrateMany:
+    def test_batch_of_one_is_the_direct_solve(self):
+        lam = (1.3, 0.7, 2.0, 1.1, 0.9)
+        problem = FlowProblem(ModelId.D11, InitialData(lam), 1e3)
+        [traj] = integrate_many([problem])
+        terms = compile_flow(catalog.build_model(ModelId.D11,
+                                                 catalog.constrained_params(ModelId.D11)))
+        sol = flow.solve_ivp(lambda t, u: terms.log_rhs(u), (0.0, 1e3), np.log(lam),
+                             method="DOP853", t_eval=traj.times, rtol=1e-11, atol=1e-13,
+                             max_step=0.1 * (1e3 + 1.0))
+        assert np.array_equal(sol.t, traj.times)
+        assert np.array_equal(np.exp(sol.y.T[1:]), traj.coeffs[1:])
+        assert np.array_equal(traj.coeffs[0], lam)
+        assert traj.meta["nfev"] == sol.nfev
+        direct = integrate(problem)
+        assert np.array_equal(direct.coeffs, traj.coeffs)
+
+    @pytest.mark.parametrize("model", [ModelId.D1, ModelId.D2, ModelId.D3, ModelId.D5])
+    def test_rows_as_accurate_as_single_runs(self, criterion_4_batches, model):
+        # the sqrt(M) tolerance scaling keeps each row at least as close to a
+        # tight reference as the row's own run at the default tolerances
+        # (measured: at most 0.46 times as far; unscaled, 2 to 10 rows per
+        # model are farther)
+        problems, batch = criterion_4_batches[model]
+
+        def deviation(traj, ref):
+            assert np.array_equal(traj.times, ref.times)
+            return float(np.max(np.abs(np.log(traj.coeffs) - np.log(ref.coeffs))))
+
+        for problem, row in zip(problems, batch):
+            ref = integrate(dataclasses.replace(problem, rel_tol=1e-13, abs_tol=1e-15))
+            assert deviation(row, ref) <= deviation(integrate(problem), ref)
+
+    def test_rows_conserve_named_monomials(self, criterion_4_batches):
+        for model, (problems, batch) in criterion_4_batches.items():
+            assert len(batch) == 20
+            for traj, problem in zip(batch, problems):
+                assert np.array_equal(traj.coeffs[0], problem.initial.array)
+                for mono in catalog.model_invariants(model).monomials:
+                    assert drift_report(traj, mono) <= 1e-12, (model, str(mono))
+
+    def test_batch_meta(self, criterion_4_batches):
+        _, batch = criterion_4_batches[ModelId.D3]
+        meta = batch[0].meta
+        assert meta["batch_size"] == 20
+        assert meta["solver_rtol"] == meta["rel_tol"] / math.sqrt(20)
+        assert meta["solver_atol"] == meta["abs_tol"] / math.sqrt(20)
+        assert all(t.meta["nfev"] == meta["nfev"] for t in batch)  # the stacked solve's
+        assert len({t.meta["max_drift"] for t in batch}) > 1  # each row's own
+
+    @pytest.mark.parametrize("change", [
+        {"model": ModelId.D2},
+        {"params": {"eps": -1.0}},
+        {"t_end": 20.0},
+        {"rel_tol": 1e-10},
+        {"abs_tol": 1e-12},
+        {"samples_per_decade": 32},
+        {"linear_samples": 17},
+    ])
+    def test_problems_differing_beyond_initial_data_raise(self, monkeypatch, change):
+        monkeypatch.setattr(flow, "solve_ivp", no_solver)
+        first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
+        other = dataclasses.replace(first, initial=InitialData((1, 2, 1, 1, 1)), **change)
+        with pytest.raises(ValueError, match="initial data"):
+            integrate_many([first, other])
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError):
+            integrate_many([])
+
+    def test_collapsing_rows_end_as_their_own_runs(self):
+        lams = [(1, 1, 1, 1, 1), (2, 2, 2, 1, 1), (1, 1.5, 2, 1, 1), (3, 3, 3, 2, 1)]
+        problems = [FlowProblem(None, InitialData(lam), 10.0) for lam in lams]
+        batch = integrate_many(problems, sc=SU2)
+        finals = []
+        for problem, traj in zip(problems, batch):
+            own = integrate(problem, sc=SU2)
+            assert traj.termination == own.termination == "step_failure"
+            assert traj.times[-1] == own.times[-1]
+            finals.append(traj.times[-1])
+        assert len(set(finals)) == len(finals)  # each row collapses at its own time
 
 
 class TestResample:
