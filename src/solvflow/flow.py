@@ -7,27 +7,52 @@ rounding, and g = exp(u) stays positive without a floor or an event.  A
 finite-time collapse (u -> -inf) ends the run as a step-size underflow.
 
 Integration is delegated to scipy's DOP853 (an 8(5,3) embedded pair with
-PI step control).  Generic D11 is stiff: its B-C mode decays at a rate
-near 4/E while the flow moves on the time scale t, so there stability
-rather than accuracy limits the step.  DOP853 is kept because the stiff
-solvers tried in u miss a verification gate or the time budget: LSODA with
-the analytic Jacobian and BDF leave D5's E(t) - (4t+1) at 2.6e-10 and
-4.5e-9 against the 1e-10 gate of criterion 3 (DOP853: 3.5e-11), and
-Radau passes but made ``solvflow check`` take 97 s when it took about 5 s
-with DOP853 (2 cores, before criterion 4's runs were stacked; ``check``
-now takes about 2 s).  Samples are recorded on a linear grid on [0, 1]
-and a geometric grid afterwards, which is what the power-law fits consume.
+PI step control).  Samples are recorded on a linear grid on [0, 1] and a
+geometric grid afterwards, which is what the power-law fits consume.
+
+Some coordinates are reflected first.  Let a transposition (i j) of the
+coordinates map the term table onto itself, and put r = u_i - u_j.  Pair
+each monomial k with its image under the swap: at u_i = u_j = s the two
+share an exponent mid_k and have opposite rate differences, so
+r' = sum_k c_k exp(mid_k) sinh(d_k r/2), where c_k and d_k are the
+differences of monomial k's rates and exponents in i and j.  r' is odd in
+r, so r = 0 is invariant and no solution crosses it.
+  * Equal rate columns make r constant: D1's (B D) and (C E) and D5's
+    (B C).  These keep plain coordinates.
+  * Otherwise r moves: D11's (B C), for either eps, with
+    r' = -(4/E) sinh r.  In plain coordinates the solver carries u_i and
+    u_j separately, and r soon falls below their absolute error.  DOP853
+    then holds the r mode at the noise level, where it limits the step by
+    stability, not accuracy, and changes sign.  That made generic D11 stiff
+    (Hairer & Wanner, *Solving ODEs II*, IV.1) and left 89 of 289 samples
+    of a run to t = 1e4 with B < C.  So such a pair is solved in
+    s = (u_i + u_j)/2 and w = log|r|, each row keeping the sign of its r.
+    w' = sum_k c_k exp(mid_k) sinh(d_k r/2)/r is smooth and stays finite
+    once r underflows (for D11 it tends to -4/E), and the sign of B - C is
+    fixed by construction; B and C tie once r is below an ulp of s.  The
+    run to t = 1e4 takes 1,733 evaluations instead of 9,029, and
+    criterion 4's 20-row D11 batch 1,706 instead of 12,233.
+  * A moving swap that shares a coordinate with another one (su(2) + R^2:
+    A, B and C) keeps plain coordinates, and so does a row that starts with
+    r = 0, where r = 0 holds exactly.
+Before this, stiff solvers were tried in plain coordinates, and each missed
+a verification gate or the time budget: LSODA with the analytic Jacobian
+and BDF leave D5's E(t) - (4t+1) at 2.6e-10 and 4.5e-9 against the 1e-10
+gate of criterion 3 (DOP853: 3.5e-11), and Radau passes but made
+``solvflow check`` take 97 s when it took about 5 s with DOP853 (2 cores,
+before criterion 4's runs were stacked).
 
 Problems that differ only in their initial data can be solved together
-(:func:`integrate_many`): their M states log g are stacked into one system
-of 5M components, so scipy's per-step overhead is paid once for all rows,
-and :func:`integrate` is the batch of one.  scipy's error norm is an RMS
-over all components, so rtol and atol are divided by sqrt(M), which keeps
-each row's share of the norm within the row's own tolerance.  DOP853 mixes
-its 5th- and 3rd-order estimates nonlinearly, so this bound is measured,
-not strict: on criterion 4's draws of D1, D2, D3 and D5 each row of a
-20-row batch lies closer to a tight-tolerance reference than its own
-single run does.
+(:func:`integrate_many`): the M states of the rows that take the same
+coordinates are stacked into one system of 5M components, so scipy's
+per-step overhead is paid once for all of them, and :func:`integrate` is
+the batch of one.  scipy's error norm is an RMS over all components, so
+rtol and atol are divided by sqrt(M), which keeps each row's share of the
+norm within the row's own tolerance.  DOP853 mixes its 5th- and 3rd-order
+estimates nonlinearly, so this bound is measured, not strict: on
+criterion 4's draws each row of a 20-row batch lies closer to a tight
+reference than its own single run does (for D11 the reference is a Radau
+solve in plain coordinates).
 """
 from __future__ import annotations
 
@@ -36,6 +61,7 @@ import json as _json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -45,7 +71,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import catalog
 from .catalog import InitialData, ModelId
-from .curvature import compile_flow
+from .curvature import FlowTerms, compile_flow
 from .liecore import StructureConstants, jacobi_residual
 
 __all__ = [
@@ -70,10 +96,11 @@ TERM_STEP_FAILURE = "step_failure"
 class FlowProblem:
     """One flow run: model, initial data and integration controls.
 
-    The flow is solved for log g, so ``rel_tol`` and ``abs_tol`` bound the
-    error in log g, i.e. the relative error in g.  Diagonality has no
-    control: it is decided exactly from the brackets (see
-    :func:`solvflow.curvature.compile_flow`) before the run starts.
+    The flow is solved for log g, or for coordinates that reflect a pair of
+    its components (see the module docstring), so ``rel_tol`` and
+    ``abs_tol`` bound the error in log g, i.e. the relative error in g.
+    Diagonality has no control: it is decided exactly from the brackets
+    (see :func:`solvflow.curvature.compile_flow`) before the run starts.
     """
 
     model: ModelId | None
@@ -111,10 +138,12 @@ class Trajectory:
     positive coefficients (A, B, C, D, E) at each of them.
 
     ``meta`` says how the run was produced: the problem's tolerances, the
-    solver, the number of rows solved together (``batch_size``), the
-    tolerances the solver was given, and ``nfev`` and ``wall_s`` of that
-    solve.  For a catalog model it also gives the worst relative drift of
-    its named conserved monomials over the run (``max_drift``).
+    solver and the coordinates it solved in (``solver``, for instance
+    ``DOP853 on log g, (B,C) -> (s, log|r|)``), the number of rows solved
+    together (``batch_size``), the tolerances the solver was given, and
+    ``nfev`` and ``wall_s`` of that solve.  For a catalog model it also
+    gives the worst relative drift of its named conserved monomials over
+    the run (``max_drift``).
     Diagonality needs no per-sample record: :func:`integrate` refuses,
     before solving, any brackets whose off-diagonal Ricci monomials do not
     all cancel.
@@ -263,27 +292,56 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
 
 def integrate_many(problems: Sequence[FlowProblem],
                    sc: StructureConstants | None = None) -> list[Trajectory]:
-    """Integrate problems that differ only in their initial data as one
-    stacked system, and return one trajectory per problem, in order.
+    """Integrate problems that differ only in their initial data as stacked
+    systems, and return one trajectory per problem, in order.
 
-    Each trajectory's ``meta["nfev"]`` counts the evaluations of the whole
-    stacked solve.  A finite-time collapse of one row stops the shared
-    step, so a stacked solve that ends in a step failure is repeated one
-    row at a time, and every row ends where its own run would.
+    Rows that take the same coordinates (see the module docstring) are
+    solved as one system; each trajectory's ``meta["batch_size"]`` and
+    ``meta["nfev"]`` are those of its row's stacked solve.  A finite-time
+    collapse of one row stops the shared step, so the rows of a stacked
+    solve that ends in a step failure are repeated one at a time, and every
+    row ends where its own run would.
     """
     problems = list(problems)
     trajs = _integrate_batch(problems, sc)
-    if len(trajs) > 1 and trajs[0].termination == TERM_STEP_FAILURE:
+    redo = [k for k, traj in enumerate(trajs)
+            if traj.termination == TERM_STEP_FAILURE and traj.meta["batch_size"] > 1]
+    if redo:
         log.debug("stacked solve stopped at t=%g; solving its %d rows one at a time",
-                  trajs[0].times[-1], len(trajs))
-        trajs = [_integrate_batch([p], sc)[0] for p in problems]
+                  trajs[redo[0]].times[-1], len(redo))
+    for k in redo:
+        trajs[k] = _integrate_batch([problems[k]], sc)[0]
     return trajs
+
+
+def _invariant_swaps(terms: FlowTerms) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The transpositions (i j) of coordinates that map the term table onto
+    itself, as (conserving, moving).  A conserving swap has equal rate
+    columns, so u_i - u_j is constant.  Under a moving one u_i - u_j
+    evolves at a rate odd in u_i - u_j, so it never crosses 0."""
+    table = {tuple(e): tuple(r) for e, r in zip(terms.exps, terms.rates)}
+    conserving, moving = [], []
+    for i, j in combinations(range(terms.exps.shape[1]), 2):
+        perm = np.arange(terms.exps.shape[1])
+        perm[[i, j]] = j, i
+        if table == {tuple(e[perm]): tuple(r[perm]) for e, r in zip(terms.exps, terms.rates)}:
+            equal = np.array_equal(terms.rates[:, i], terms.rates[:, j])
+            (conserving if equal else moving).append((i, j))
+    return conserving, moving
+
+
+def _reflected_pairs(terms: FlowTerms) -> list[tuple[int, int]]:
+    """The moving swaps that share no coordinate with another moving swap:
+    each gets the coordinates (s, log|r|) of the module docstring."""
+    _, moving = _invariant_swaps(terms)
+    return [pair for pair in moving
+            if all(set(pair).isdisjoint(other) for other in moving if other != pair)]
 
 
 def _integrate_batch(problems: list[FlowProblem],
                      sc: StructureConstants | None) -> list[Trajectory]:
-    """One DOP853 solve of the M problems' stacked log g, at tolerances
-    divided by sqrt(M) (see the module docstring)."""
+    """Check and compile the M problems once, then solve their rows with
+    one stacked DOP853 system per kind of coordinates."""
     if not problems:
         raise ValueError("need at least one flow problem")
     first = problems[0]
@@ -300,18 +358,41 @@ def _integrate_batch(problems: list[FlowProblem],
     terms = compile_flow(sc)
     terms.check_diagonal()
 
-    m = len(problems)
     lam = np.array([p.initial.array for p in problems])
-    u0 = np.log(lam).ravel()
+    u0 = np.log(lam)
+    pairs = _reflected_pairs(terms)
+    # a row with u_i = u_j at the start keeps u_i = u_j exactly: no reflection
+    kinds = [tuple(pair for pair in pairs if u[pair[0]] != u[pair[1]]) for u in u0]
+    trajs: list[Trajectory] = [None] * len(problems)
+    for kind in dict.fromkeys(kinds):
+        rows = [k for k, row_kind in enumerate(kinds) if row_kind == kind]
+        for k, traj in zip(rows, _solve(first, params, terms, kind, lam[rows], u0[rows])):
+            trajs[k] = traj
+    return trajs
+
+
+def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int, int], ...],
+           lam: np.ndarray, u0: np.ndarray) -> list[Trajectory]:
+    """One DOP853 solve of the rows' stacked coordinates, at tolerances
+    divided by sqrt(M): log g itself, or with each pair of ``pairs``
+    reflected (see the module docstring)."""
+    m = len(lam)
     t_eval = _sample_times(first.t_end, first.samples_per_decade, first.linear_samples)
     rtol = first.rel_tol / math.sqrt(m)
     atol = first.abs_tol / math.sqrt(m)
+    solver = "DOP853 on log g" + "".join(
+        f", ({'ABCDE'[i]},{'ABCDE'[j]}) -> (s, log|r|)" for i, j in pairs)
+    if pairs:
+        coords = _Reflected(terms, pairs, u0)
+        y0, rhs = coords.y0.ravel(), coords.rhs
+    else:
+        y0, rhs = u0.ravel(), lambda t, u: terms.log_rhs(u.reshape(m, -1)).ravel()
 
     start = perf_counter()
     sol = solve_ivp(
-        lambda t, u: terms.log_rhs(u.reshape(m, -1)).ravel(),
+        rhs,
         (0.0, first.t_end),
-        u0,
+        y0,
         method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
@@ -320,24 +401,27 @@ def _integrate_batch(problems: list[FlowProblem],
     )
     wall_s = perf_counter() - start
     meta = {"t_end": first.t_end, "rel_tol": first.rel_tol, "abs_tol": first.abs_tol,
-            "solver": "DOP853 on log g", "batch_size": m, "solver_rtol": rtol,
+            "solver": solver, "batch_size": m, "solver_rtol": rtol,
             "solver_atol": atol, "nfev": int(sol.nfev), "wall_s": wall_s}
     termination = TERM_REACHED
     if sol.status == -1:
         termination = TERM_STEP_FAILURE
         meta["solver_message"] = sol.message
-    log.debug("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s",
+    log.debug("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s [%s]",
               first.model.value if first.model is not None else "brackets",
-              m, first.t_end, sol.nfev, wall_s, termination)
+              m, first.t_end, sol.nfev, wall_s, termination, solver)
 
-    times, u = sol.t, sol.y
+    times, y = sol.t, sol.y
     if times.size == 0 or times[0] != 0.0:
         times = np.concatenate([[0.0], times])
-        u = np.column_stack([u0, u])
+        y = np.column_stack([y0, y])
+    u = y.reshape(m, -1, times.size).transpose(0, 2, 1)  # (row, sample, coordinate)
+    if pairs:
+        u = coords.log_g(u, coords.sign[:, None, :])
     monos = () if first.model is None else catalog.model_invariants(first.model).monomials
     trajs = []
-    for lam_row, u_row in zip(lam, np.split(u, m)):
-        coeffs = np.exp(u_row.T)
+    for lam_row, u_row in zip(lam, u):
+        coeffs = np.exp(u_row)
         coeffs[0] = lam_row  # exp(log(lam)) can be an ulp off the initial data
         trajs.append(Trajectory(
             times=times,
@@ -348,6 +432,56 @@ def _integrate_batch(problems: list[FlowProblem],
             meta=dict(meta, max_drift=max((mo.drift(coeffs) for mo in monos), default=0.0)),
         ))
     return trajs
+
+
+class _Reflected:
+    """Coordinates y of log g in which the pair (i, j) of each moving swap
+    becomes s = (u_i + u_j)/2 at i and w = log|r|, r = u_i - u_j, at j;
+    each row keeps the sign of its own r.  u and dy/dt are linear in
+    (y, r) and (du/dt, dw/dt), so the maps act on the last axis as matrices,
+    composed with the term table where the right-hand side uses them."""
+
+    def __init__(self, terms: FlowTerms, pairs, u0: np.ndarray):
+        i, j = (list(x) for x in zip(*pairs))
+        n_pairs, n_terms = len(pairs), terms.exps.shape[0]
+        eye = np.eye(u0.shape[-1])
+        self.w_of_y = eye[:, j]                  # w = y @ w_of_y
+        self.u_of_y = eye.copy()                 # u = y @ u_of_y + r @ u_of_r
+        self.u_of_y[:, j] = eye[:, i]
+        self.u_of_r = 0.5 * (eye[i] - eye[j])
+        y_of_u = eye.copy()                      # dy = du @ y_of_u + dw @ w_of_y.T
+        y_of_u[:, i] = 0.5 * (eye[:, i] + eye[:, j])
+        y_of_u[:, j] = 0.0
+        # w' = (u_i' - u_j')/r.  Paired with its image under the swap,
+        # monomial k adds coef[k] exp(z_k) (1 - exp(-d[k] r)) / (d[k] r) to
+        # it, which stays finite at r = 0 (see the module docstring).  So the
+        # right-hand side takes exp(z) once for du/dt and once more for each
+        # pair, scaled there by that factor with x = -d r.
+        d = terms.exps[:, i] - terms.exps[:, j]
+        coef = 0.5 * d * (terms.rates[:, i] - terms.rates[:, j])
+        self.n_terms = n_terms
+        self.z_of_y = np.tile(self.u_of_y @ terms.exps.T, n_pairs + 1)
+        self.z_of_r = np.tile(self.u_of_r @ terms.exps.T, n_pairs + 1)
+        self.x_of_r = (np.eye(n_pairs)[:, :, None] * -d.T).reshape(n_pairs, -1)
+        dw_of_ez = (coef.T[:, :, None] * self.w_of_y.T[:, None, :]).reshape(-1, eye.shape[0])
+        self.dy_of_ez = np.vstack([terms.rates @ y_of_u, dw_of_ez])
+        r0 = u0[:, i] - u0[:, j]
+        self.sign = np.sign(r0)
+        self.y0 = u0 @ y_of_u + np.log(np.abs(r0)) @ self.w_of_y.T
+
+    def log_g(self, y: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """u = log g from y (coordinates on the last axis); ``sign`` must
+        broadcast against w."""
+        r = sign * np.exp(y @ self.w_of_y)
+        return y @ self.u_of_y + r @ self.u_of_r
+
+    def rhs(self, t, y):
+        y = y.reshape(self.sign.shape[0], -1)
+        r = self.sign * np.exp(y @ self.w_of_y)
+        ez = np.exp(y @ self.z_of_y + r @ self.z_of_r)
+        x = r @ self.x_of_r
+        ez[:, self.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        return (ez @ self.dy_of_ez).ravel()
 
 
 def integrate_brackets(

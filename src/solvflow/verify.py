@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import InitialData, ModelId
-from .curvature import DiagonalMetric, flow_rhs, ricci_quadratic, ricci_tensor
+from .curvature import DiagonalMetric, compile_flow, ricci_quadratic, ricci_tensor
 from .flow import FlowProblem, Trajectory, integrate, integrate_brackets, integrate_many
 from .invariants import detect_monomials, drift_report, ratio_diagnostics
 from .liecore import StructureConstants, jacobi_residual, unimodularity_defect
@@ -346,12 +346,11 @@ class VerifySession:
         rng = self._rng(2)
         items = []
         for model in self.models:
-            sc = catalog.build_model(model, catalog.constrained_params(model))
-            worst = 0.0
-            for _ in range(100):
-                g = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 5))
-                got = flow_rhs(sc, DiagonalMetric(tuple(g)))
-                worst = max(worst, _rel_err(got, reference_system(model, g)))
+            terms = compile_flow(catalog.build_model(model, catalog.constrained_params(model)))
+            terms.check_diagonal()
+            draws = np.exp(rng.uniform(np.log(0.1), np.log(10.0), (100, 5)))
+            got = draws * terms.log_rhs(np.log(draws))
+            worst = max(_rel_err(row, reference_system(model, g)) for row, g in zip(got, draws))
             items.append(CheckItem(f"{model.value} flow rhs vs reference system",
                                    worst <= 1e-12, worst, 0.0, 1e-12))
         if ModelId.D11 in self.models:
@@ -553,6 +552,9 @@ class VerifySession:
                                decreasing and vals[-1] < 0.05,
                                [f"{v:.3e}" for v in vals], "strictly decreasing, final < 0.05"))
         long = self.run("d11_case2_1e4")
+        flips = int(np.count_nonzero(long.coeffs[:, 1] < long.coeffs[:, 2]))
+        items.append(CheckItem("D11 l2>l3: no sample has B < C (t<=1e4)",
+                               flips == 0, flips, 0))
         drift = residual_check(ModelId.D11, "case2", long)
         items.append(CheckItem("D11 A^2 B C D^2 conserved (t=1e4 run)",
                                drift < 1e-8, drift, 0.0, 1e-8))

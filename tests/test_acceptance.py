@@ -74,6 +74,14 @@ def test_d11_measured_exponents_refute_tabulated_row(report):
     assert abs(fits["D11 case1 exponent B"] - 0.25) <= 0.01
 
 
+def test_d11_order_gated_over_the_long_run(report):
+    # the exact flow keeps B > C; before B and C were reflected, 89 of the
+    # 289 samples of this run had B < C
+    result = next(c for c in report.criteria if c.number == 9)
+    [item] = [i for i in result.items if i.name == "D11 l2>l3: no sample has B < C (t<=1e4)"]
+    assert item.passed and item.computed == 0
+
+
 class TestCriterion11:
     def test_csv_fit_round_trip_bit_identical(self, tmp_path):
         problem = FlowProblem(ModelId.D3, InitialData((1, 1, 1, 1, 1)), 1e5)
