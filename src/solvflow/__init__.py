@@ -5,7 +5,6 @@ from .asymptotics import (
     ClosedFormSolution,
     PowerLawFit,
     PreconditionViolation,
-    eval_closed_form,
     fit_power_law,
     residual_check,
 )
@@ -28,7 +27,6 @@ from .curvature import (
     flow_rhs,
     ricci_quadratic,
     ricci_tensor,
-    unit_frame_brackets,
 )
 from .flow import (
     FlowProblem,
@@ -36,19 +34,16 @@ from .flow import (
     integrate,
     integrate_brackets,
     integrate_many,
-    resample_log,
 )
 from .invariants import (
     RatioDiagnostic,
     detect_monomials,
     drift_report,
     ratio_diagnostics,
-    special_drift,
 )
 from .liecore import (
     BasisChange,
     StructureConstants,
-    bracket_apply,
     change_basis,
     jacobi_residual,
     unimodularity_defect,

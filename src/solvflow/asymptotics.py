@@ -25,14 +25,12 @@ import numpy as np
 
 from . import catalog
 from .catalog import InitialData, ModelId
-from .curvature import DiagonalMetric
 from .flow import Trajectory, component_index
 
 __all__ = [
     "PreconditionViolation",
     "ClosedFormSolution",
     "PowerLawFit",
-    "eval_closed_form",
     "fit_power_law",
     "residual_check",
     "d1_pair_constants",
@@ -145,13 +143,6 @@ class ClosedFormSolution:
             f"{self.model.value} {self.case}: no explicit time law "
             "(verify via residual_check instead)"
         )
-
-
-def eval_closed_form(cf: ClosedFormSolution, t: float) -> DiagonalMetric:
-    """The closed-form metric at a single nonnegative time."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return DiagonalMetric(tuple(cf.eval_array(float(t))))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def _window_arg(value: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _out_arg(value: str) -> str:
+    # refused before any work: the flow or the verification would otherwise
+    # run to the end and only then fail to write
+    directory = os.path.dirname(value) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory, not a file")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solvflow",
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                    help="sign parameter for D11")
     p.add_argument("--per-decade", type=int, default=FlowProblem.samples_per_decade)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_arg, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("invariants", help="detect conserved monomials")
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the verification suite")
     p.add_argument("model", nargs="?", type=_model_arg, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="verification_report.json",
+    p.add_argument("--out", type=_out_arg, default="verification_report.json",
                    help="path of the JSON report")
     return parser
 

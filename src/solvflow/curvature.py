@@ -31,7 +31,6 @@ __all__ = [
     "RicciForm",
     "DiagonalityViolation",
     "NonpositiveMetricError",
-    "unit_frame_brackets",
     "ricci_quadratic",
     "ricci_tensor",
     # FlowTerms is not listed: perfbench/tracing.py wraps the methods of
@@ -103,11 +102,6 @@ def _unit_frame_tensor(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """chat[i,j,k] = c[i,j,k] * sqrt(g_k / (g_i g_j))."""
     s = np.sqrt(g)
     return c * (s[None, None, :] / (s[:, None, None] * s[None, :, None]))
-
-
-def unit_frame_brackets(sc: StructureConstants, g: DiagonalMetric) -> StructureConstants:
-    """Structure constants of the orthonormal frame Yhat_i = Y_i/sqrt(g_i)."""
-    return StructureConstants(_unit_frame_tensor(sc.c, g.array))
 
 
 def ricci_quadratic(sc: StructureConstants, g: DiagonalMetric, w: np.ndarray) -> float:

@@ -7,7 +7,14 @@ rounding, and g = exp(u) stays positive without a floor or an event.  A
 finite-time collapse (u -> -inf) ends the run as a step-size underflow.
 
 Integration is delegated to scipy's DOP853 (an 8(5,3) embedded pair with
-PI step control).  Samples are recorded on a linear grid on [0, 1] and a
+PI step control), and scipy is loaded at the first solve, not on import.
+Loading ``scipy.integrate``, with the ``scipy.linalg`` it pulls in, takes
+about 0.6 s on 2 cores, where ``import solvflow`` without it takes about
+0.22 s; so the commands and callers that never integrate skip that cost,
+and the first solve in a process pays it.  The solver is always called
+through the module attribute ``flow.solve_ivp``, which the first access
+resolves and stores, so a tracer or a test that replaces that attribute
+sees every solve.  Samples are recorded on a linear grid on [0, 1] and a
 geometric grid afterwards, which is what the power-law fits consume.
 
 Some coordinates are reflected first.  Let a transposition (i j) of the
@@ -60,14 +67,13 @@ import csv as _csv
 import json as _json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from time import perf_counter
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from . import catalog
 from .catalog import InitialData, ModelId
@@ -80,7 +86,6 @@ __all__ = [
     "integrate",
     "integrate_many",
     "integrate_brackets",
-    "resample_log",
     "CSV_HEADER",
 ]
 
@@ -90,6 +95,19 @@ log = logging.getLogger(__name__)
 
 TERM_REACHED = "reached_t_end"
 TERM_STEP_FAILURE = "step_failure"
+
+
+def __getattr__(name: str):
+    """Load ``solve_ivp`` at its first use and keep it as a module global
+    (PEP 562), so that ``import solvflow`` loads no scipy."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    start = perf_counter()
+    from scipy.integrate import solve_ivp
+
+    log.debug("loaded scipy.integrate in %.3fs", perf_counter() - start)
+    globals()[name] = solve_ivp
+    return solve_ivp
 
 
 @dataclass(frozen=True)
@@ -388,6 +406,9 @@ def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int,
     else:
         y0, rhs = u0.ravel(), lambda t, u: terms.log_rhs(u.reshape(m, -1)).ravel()
 
+    # the module attribute, which loads scipy at first use (outside the
+    # timed solve) and which a tracer or test may have replaced
+    solve_ivp = sys.modules[__name__].solve_ivp
     start = perf_counter()
     sol = solve_ivp(
         rhs,
@@ -407,9 +428,9 @@ def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int,
     if sol.status == -1:
         termination = TERM_STEP_FAILURE
         meta["solver_message"] = sol.message
-    log.debug("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s [%s]",
-              first.model.value if first.model is not None else "brackets",
-              m, first.t_end, sol.nfev, wall_s, termination, solver)
+    log.info("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s [%s]",
+             first.model.value if first.model is not None else "brackets",
+             m, first.t_end, sol.nfev, wall_s, termination, solver)
 
     times, y = sol.t, sol.y
     if times.size == 0 or times[0] != 0.0:
@@ -493,38 +514,3 @@ def integrate_brackets(
     """Integrate the flow of arbitrary (non-catalog) brackets."""
     problem = FlowProblem(model=None, initial=InitialData(tuple(lam)), t_end=t_end, **kwargs)
     return integrate(problem, sc=sc)
-
-
-def resample_log(traj: Trajectory, per_decade: int) -> Trajectory:
-    """Resample onto a geometric time grid via monotone cubic interpolation
-    of log(coefficient) against log(t); endpoints are preserved exactly."""
-    if per_decade < 1:
-        raise ValueError("per_decade must be a positive integer")
-    mask = traj.times > 0.0
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("need at least two samples at positive times to resample")
-    t = traj.times[mask]
-    g = traj.coeffs[mask]
-    lo, hi = t[0], t[-1]
-    n = max(2, math.ceil(per_decade * math.log10(hi / lo)) + 1)
-    new_t = np.geomspace(lo, hi, n)
-    new_t[0], new_t[-1] = lo, hi
-
-    logt = np.log(t)
-    new_logt = np.log(new_t)
-    new_g = np.empty((n, 5))
-    for k in range(5):
-        interp = PchipInterpolator(logt, np.log(g[:, k]))
-        new_g[:, k] = np.exp(interp(new_logt))
-    new_g[0], new_g[-1] = g[0], g[-1]
-
-    meta = dict(traj.meta)
-    meta["resampled_per_decade"] = per_decade
-    return Trajectory(
-        times=new_t,
-        coeffs=new_g,
-        termination=traj.termination,
-        model=traj.model,
-        params=traj.params,
-        meta=meta,
-    )

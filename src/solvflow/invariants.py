@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import catalog
-from .catalog import InvariantMonomial, ModelId, SpecialInvariant
+from .catalog import InvariantMonomial, ModelId
 from .curvature import compile_flow
 from .flow import Trajectory
 from .liecore import StructureConstants
@@ -30,7 +30,6 @@ __all__ = [
     "detect_monomials_brackets",
     "drift_report",
     "ratio_diagnostics",
-    "special_drift",
     "hermite_basis",
     "in_lattice",
 ]
@@ -191,27 +190,6 @@ def detect_monomials(
 def drift_report(traj: Trajectory, inv: InvariantMonomial) -> float:
     """Worst relative drift of the monomial from its initial value."""
     return inv.drift(traj.coeffs)
-
-
-def special_drift(
-    traj: Trajectory,
-    special: SpecialInvariant,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Relative drift of a special invariant, optionally over a time window
-    (used for quantities that are conserved only asymptotically)."""
-    vals = np.asarray(special.fn(traj.coeffs), dtype=float)
-    t = traj.times
-    if window is not None:
-        lo, hi = window
-        mask = (t >= lo) & (t <= hi)
-        if np.count_nonzero(mask) < 2:
-            raise ValueError("window contains fewer than two samples")
-        vals = vals[mask]
-    ref = vals[0]
-    if ref == 0.0:
-        return float(np.max(np.abs(vals)))
-    return float(np.max(np.abs(vals / ref - 1.0)))
 
 
 # ---------------------------------------------------------------------------

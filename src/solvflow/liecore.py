@@ -10,12 +10,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "StructureConstants",
     "BasisChange",
-    "bracket_apply",
     "jacobi_residual",
     "unimodularity_defect",
     "change_basis",
@@ -119,19 +117,11 @@ class BasisChange:
 
     def inverse(self) -> "BasisChange":
         # unitriangular: invert by forward substitution, never a general solve
-        inv = solve_triangular(
-            self.matrix, np.eye(self.dim), lower=True, unit_diagonal=True
-        )
+        m = self.matrix
+        inv = np.eye(self.dim)
+        for i in range(1, self.dim):
+            inv[i] -= m[i, :i] @ inv[:i]
         return BasisChange(inv)
-
-
-def bracket_apply(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[u, v] for coefficient vectors u, v: w_k = sum_{ij} u_i v_j c[i,j,k]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (sc.dim,) or v.shape != (sc.dim,):
-        raise ValueError(f"coefficient vectors must have length {sc.dim}")
-    return np.einsum("i,j,ijk->k", u, v, sc.c)
 
 
 def jacobi_residual(sc: StructureConstants) -> float:

@@ -216,11 +216,16 @@ class Discrepancy:
 
 @dataclass
 class VerificationReport:
+    """The criteria's results, and in ``runs`` how each flow run they used
+    was solved (see :func:`_run_summary`), keyed by its ``_RUNS`` key or,
+    for criterion 4's batches, by ``c4_<model>``."""
+
     criteria: list[CriterionResult]
     discrepancies: list[Discrepancy]
     notes: list[str]
     seed: int
     elapsed_s: float
+    runs: dict[str, dict] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -234,7 +239,27 @@ class VerificationReport:
             "criteria": [c.as_dict() for c in self.criteria],
             "discrepancies": [d.as_dict() for d in self.discrepancies],
             "notes": self.notes,
+            "runs": self.runs,
         }
+
+
+def _run_summary(trajs: Sequence[Trajectory]) -> dict:
+    """How the trajectories of one run or batch were solved, from their
+    ``meta``: the solver, the termination, and ``nfev``, ``wall_s`` and
+    ``batch_size`` summed over their distinct stacked solves, and the worst
+    ``max_drift`` of any row.  The rows of one stacked solve share all of
+    its meta but ``max_drift``."""
+    solves = dict.fromkeys((t.meta["solver"], t.termination, t.meta["nfev"],
+                            t.meta["wall_s"], t.meta["batch_size"]) for t in trajs)
+    solvers, terminations, nfev, wall_s, batch_size = zip(*solves)
+    return {
+        "solver": "; ".join(dict.fromkeys(solvers)),
+        "termination": "; ".join(dict.fromkeys(terminations)),
+        "nfev": sum(nfev),
+        "wall_s": sum(wall_s),
+        "batch_size": sum(batch_size),
+        "max_drift": max(t.meta["max_drift"] for t in trajs),
+    }
 
 
 CRITERION_TITLES = {
@@ -286,6 +311,7 @@ class VerifySession:
         self.seed = int(seed)
         self.models = tuple(ModelId(m) for m in models) if models else ALL_MODELS
         self._cache: dict[str, Trajectory] = {}
+        self._batches: dict[str, list[Trajectory]] = {}  # criterion 4, by c4_<model>
         self.discrepancies: list[Discrepancy] = []
 
     # -- helpers ------------------------------------------------------------
@@ -383,7 +409,8 @@ class VerifySession:
             inv = catalog.model_invariants(model)
             problems = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
                         for _ in range(20)]
-            worst = max((drift_report(traj, mono) for traj in integrate_many(problems)
+            trajs = self._batches[f"c4_{model.value}"] = integrate_many(problems)
+            worst = max((drift_report(traj, mono) for traj in trajs
                          for mono in inv.monomials), default=0.0)
             items.append(CheckItem(f"{model.value} invariant drift over 20 runs to 1e4",
                                    worst < 1e-8, worst, 0.0, 1e-8))
@@ -633,12 +660,15 @@ class VerifySession:
                 continue  # criterion not applicable to the model filter
             results.append(CriterionResult(n, CRITERION_TITLES[n], items,
                                            time.perf_counter() - t0))
+        runs = {key: _run_summary([self._cache[key]]) for key in _RUNS if key in self._cache}
+        runs.update((key, _run_summary(trajs)) for key, trajs in self._batches.items())
         return VerificationReport(
             criteria=results,
             discrepancies=list(self.discrepancies),
             notes=list(STATIC_NOTES),
             seed=self.seed,
             elapsed_s=time.perf_counter() - t_start,
+            runs=runs,
         )
 
 

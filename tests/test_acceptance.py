@@ -5,6 +5,7 @@ captured output of failures).  Criterion 11 exercises the command-line
 round trip, including a full ``check`` in a fresh interpreter.
 """
 import json
+import math
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from solvflow.asymptotics import fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.flow import FlowProblem, Trajectory, integrate
-from solvflow.verify import CRITERION_TITLES, VerifySession
+from solvflow.verify import _RUNS, CRITERION_TITLES, VerifySession
 
 RUNTIME_BUDGETS = {1: 1.0, 4: 30.0, 5: 120.0}
 
@@ -80,6 +81,21 @@ def test_d11_order_gated_over_the_long_run(report):
     result = next(c for c in report.criteria if c.number == 9)
     [item] = [i for i in result.items if i.name == "D11 l2>l3: no sample has B < C (t<=1e4)"]
     assert item.passed and item.computed == 0
+
+
+def test_report_tabulates_each_run(report):
+    c4 = {f"c4_{model.value}" for model in ModelId}
+    assert c4 <= set(report.runs) <= c4 | set(_RUNS)
+    assert "d11_case2_1e4" in report.runs
+    for key, run in report.runs.items():
+        assert set(run) == {"solver", "nfev", "wall_s", "termination", "batch_size",
+                            "max_drift"}, key
+        assert run["termination"] == "reached_t_end", key
+        assert run["nfev"] > 0 and run["wall_s"] > 0.0, key
+        assert run["batch_size"] == (20 if key in c4 else 1), key
+        assert all(math.isfinite(run[k]) for k in ("nfev", "wall_s", "max_drift")), key
+    assert report.runs["c4_D11"]["solver"] == "DOP853 on log g, (B,C) -> (s, log|r|)"
+    json.dumps(report.as_dict()["runs"], allow_nan=False)
 
 
 class TestCriterion11:

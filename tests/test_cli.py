@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from solvflow import cli
 from solvflow.asymptotics import fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.cli import main
@@ -119,6 +120,28 @@ def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
     assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "inf",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "D3", "--lambda", "1,1,1,1,1", "--t-end", "1e6"],
+    ["check"],
+])
+@pytest.mark.parametrize("out, message", [
+    ("missing/x.csv", "does not exist"),
+    (".", "is a directory"),
+])
+def test_unwritable_out_usage_error(monkeypatch, capsys, tmp_path, argv, out, message):
+    monkeypatch.setattr(cli, "integrate", no_work)
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
 
 
 def test_invariants_retired_flags(capsys):

@@ -19,10 +19,9 @@ from solvflow.flow import (
     integrate,
     integrate_brackets,
     integrate_many,
-    resample_log,
 )
 from solvflow.liecore import StructureConstants
-from solvflow.verify import VerifySession
+from solvflow.verify import VerifySession, _run_summary
 
 
 def run(model, lam, t_end, **kw):
@@ -213,7 +212,9 @@ class TestIntegrate:
         caplog.set_level(logging.DEBUG, logger="solvflow.flow")
         integrate_many([FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, lam)), 10.0)
                         for lam in (1.0, 2.0, 3.0)])
-        [record] = [r for r in caplog.records if r.name == "solvflow.flow"]
+        [record] = [r for r in caplog.records
+                    if r.name == "solvflow.flow" and r.getMessage().startswith("solved")]
+        assert record.levelno == logging.INFO
         line = record.getMessage()
         assert "D5" in line and "M=3" in line and "t_end=10" in line
         assert "nfev=" in line and "reached_t_end" in line
@@ -422,6 +423,18 @@ class TestReflectedCoordinates:
         assert batch[0].meta["solver_rtol"] == problems[0].rel_tol / math.sqrt(2)
         assert batch[1].meta["solver_rtol"] == problems[1].rel_tol
 
+    def test_run_summary_sums_the_distinct_solves(self, mixed_d11):
+        # the report's per-run table counts each stacked solve once
+        _, batch, _ = mixed_d11
+        summary = _run_summary(batch)
+        assert summary["solver"] == ("DOP853 on log g, (B,C) -> (s, log|r|); "
+                                     "DOP853 on log g")
+        assert summary["termination"] == "reached_t_end"
+        assert summary["batch_size"] == 3
+        assert summary["nfev"] == batch[0].meta["nfev"] + batch[1].meta["nfev"]
+        assert summary["wall_s"] == batch[0].meta["wall_s"] + batch[1].meta["wall_s"]
+        assert summary["max_drift"] == max(t.meta["max_drift"] for t in batch)
+
     def test_reflected_rows_closer_to_oracle_than_plain_solve(self, mixed_d11):
         problems, batch, refs = mixed_d11
         terms = terms_of(ModelId.D11)
@@ -434,35 +447,9 @@ class TestReflectedCoordinates:
     def test_debug_line_names_the_coordinates(self, caplog):
         caplog.set_level(logging.DEBUG, logger="solvflow.flow")
         run(ModelId.D11, (1, 2, 1, 1, 1), 10.0)
-        [record] = [r for r in caplog.records if r.name == "solvflow.flow"]
+        [record] = [r for r in caplog.records
+                    if r.name == "solvflow.flow" and r.getMessage().startswith("solved")]
         assert "(B,C) -> (s, log|r|)" in record.getMessage()
-
-
-class TestResample:
-    def test_constant_stays_constant(self):
-        lam = (2.0, 1.0, 1.0, 1.0, 3.0)
-        traj = integrate_brackets(StructureConstants.zero(5), lam, 100.0)
-        res = resample_log(traj, 16)
-        assert np.max(np.abs(res.coeffs - np.array(lam))) < 1e-13
-
-    def test_exact_power_law_recovered(self):
-        t = np.linspace(1.0, 1000.0, 400)
-        g = np.column_stack([t ** 0.25] * 5)
-        traj = Trajectory(times=t, coeffs=g, termination="reached_t_end")
-        res = resample_log(traj, 32)
-        want = res.times[:, None] ** 0.25
-        assert np.max(np.abs(res.coeffs / want - 1.0)) < 1e-6
-        assert res.times[0] == 1.0 and res.times[-1] == 1000.0
-
-    def test_single_sample_rejected(self):
-        traj = Trajectory(times=np.array([1.0]), coeffs=np.ones((1, 5)),
-                          termination="reached_t_end")
-        with pytest.raises(ValueError):
-            resample_log(traj, 8)
-
-    def test_zero_per_decade_rejected(self, d5_unit_10):
-        with pytest.raises(ValueError):
-            resample_log(d5_unit_10, 0)
 
 
 class TestSerialization:

@@ -12,7 +12,6 @@ from solvflow.invariants import (
     hermite_basis,
     in_lattice,
     ratio_diagnostics,
-    special_drift,
 )
 from solvflow.liecore import StructureConstants
 from solvflow import catalog
@@ -231,14 +230,6 @@ class TestSpecialQuantities:
         ratio = specials["(B+C)*D^2/((B-C)*E^2)"]
         vals = ratio.fn(d11_case2_10.coeffs)
         assert vals[-1] / vals[0] > 1e3
-
-    def test_special_drift_windowing(self, d11_case2_10):
-        specials = {s.name: s for s in model_invariants(ModelId.D11).specials}
-        sq = specials["A^2*E^2*(B^2-C^2)"]
-        full = special_drift(d11_case2_10, sq)
-        assert full > 0.99  # decays to nearly nothing
-        with pytest.raises(ValueError):
-            special_drift(d11_case2_10, sq, window=(9.99, 10.0))
 
 
 class TestD2SignDynamics:
