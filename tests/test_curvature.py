@@ -10,10 +10,10 @@ from solvflow.curvature import (
     DiagonalityViolation,
     DiagonalMetric,
     NonpositiveMetricError,
+    _unit_frame_tensor,
     compile_flow,
     flow_rhs,
     ricci_quadratic,
-    _unit_frame_tensor,
     ricci_tensor,
 )
 from solvflow.liecore import StructureConstants
