@@ -49,17 +49,26 @@ gate of criterion 3 (DOP853: 3.5e-11), and Radau passes but made
 ``solvflow check`` take 97 s when it took about 5 s with DOP853 (2 cores,
 before criterion 4's runs were stacked).
 
-Problems that differ only in their initial data can be solved together
-(:func:`integrate_many`): the M states of the rows that take the same
-coordinates are stacked into one system of 5M components, so scipy's
-per-step overhead is paid once for all of them, and :func:`integrate` is
-the batch of one.  scipy's error norm is an RMS over all components, so
-rtol and atol are divided by sqrt(M), which keeps each row's share of the
-norm within the row's own tolerance.  DOP853 mixes its 5th- and 3rd-order
-estimates nonlinearly, so this bound is measured, not strict: on
-criterion 4's draws each row of a 20-row batch lies closer to a tight
-reference than its own single run does (for D11 the reference is a Radau
-solve in plain coordinates).
+Problems that share ``t_end``, tolerances and sampling grid are solved
+together (:func:`integrate_many`), whatever their model, parameters and
+initial data: the M rows are stacked into one system of 5M components, so
+scipy's per-step overhead, which is about the same at any width, is paid
+once for all of them, and :func:`integrate` is the batch of one.  Each
+distinct (model, parameters) table is compiled once, and its rows form one
+block per set of pairs they take reflected.  The right-hand side fills
+each block's slice: a reflected block through its own coordinates, and the
+plain rows of several blocks through one product with the union of their
+tables, where the logs of the other tables' terms are -inf in each row, so
+those terms add exactly 0.  A batch of one block uses that block's
+right-hand side alone, as a single run does.  scipy's error norm is an RMS
+over all components, so rtol and atol are divided by sqrt(M), which keeps
+each row's share of the norm within the row's own tolerance.  DOP853 mixes
+its 5th- and 3rd-order estimates nonlinearly, so this bound is measured,
+not strict: each row of criterion 4's 100-row batch of all five models
+lies closer to a tight reference than its own single run does (for D11
+the reference is a Radau solve in plain coordinates).  ``solvflow check`` solves its 111 rows in 6
+solves and 8,694 evaluations, where one solve per model and run took 17
+and 29,263.
 """
 from __future__ import annotations
 
@@ -69,7 +78,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -310,15 +319,20 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
 
 def integrate_many(problems: Sequence[FlowProblem],
                    sc: StructureConstants | None = None) -> list[Trajectory]:
-    """Integrate problems that differ only in their initial data as stacked
-    systems, and return one trajectory per problem, in order.
+    """Integrate problems that share ``t_end``, tolerances and sampling grid
+    as one stacked system, and return one trajectory per problem, in order.
 
-    Rows that take the same coordinates (see the module docstring) are
-    solved as one system; each trajectory's ``meta["batch_size"]`` and
-    ``meta["nfev"]`` are those of its row's stacked solve.  A finite-time
-    collapse of one row stops the shared step, so the rows of a stacked
-    solve that ends in a step failure are repeated one at a time, and every
-    row ends where its own run would.
+    Their model, parameters and initial data may differ.  Each distinct
+    (model, parameters) table is checked and compiled once, and its rows
+    are split into blocks by the pairs they take reflected (see the module
+    docstring); the solver's right-hand side fills each block's slice.
+    Each trajectory's ``meta["solver"]`` names its own row's coordinates,
+    and ``meta["batch_size"]`` and ``meta["nfev"]`` are those of the
+    stacked solve.  Explicit brackets ``sc`` are one table, so their rows
+    must share the model and parameters.  A finite-time collapse of one
+    row stops the shared step, so the rows of a stacked solve that ends in
+    a step failure are repeated one at a time, and every row ends where its
+    own run would.
     """
     problems = list(problems)
     trajs = _integrate_batch(problems, sc)
@@ -356,55 +370,109 @@ def _reflected_pairs(terms: FlowTerms) -> list[tuple[int, int]]:
             if all(set(pair).isdisjoint(other) for other in moving if other != pair)]
 
 
-def _integrate_batch(problems: list[FlowProblem],
-                     sc: StructureConstants | None) -> list[Trajectory]:
-    """Check and compile the M problems once, then solve their rows with
-    one stacked DOP853 system per kind of coordinates."""
-    if not problems:
-        raise ValueError("need at least one flow problem")
-    first = problems[0]
-    if any(replace(p, initial=first.initial) != first for p in problems):
-        raise ValueError("problems solved together may differ only in their initial data")
-    params = first.resolved_params()
+@dataclass
+class _Block:
+    """The rows of a stacked solve that share a term table and the pairs
+    they take reflected."""
+
+    model: ModelId | None
+    params: dict | None
+    terms: FlowTerms
+    pairs: tuple[tuple[int, int], ...]
+    rows: list[int] = field(default_factory=list)
+
+    @property
+    def reflections(self) -> list[str]:
+        return [f"({'ABCDE'[i]},{'ABCDE'[j]}) -> (s, log|r|)" for i, j in self.pairs]
+
+    @property
+    def label(self) -> str:
+        """For the log, e.g. ``D11×20 (B,C) -> (s, log|r|)``."""
+        name = self.model.value if self.model is not None else "brackets"
+        return " ".join([f"{name}×{len(self.rows)}", *self.reflections])
+
+
+def _compile(model: ModelId | None, params, sc: StructureConstants | None):
+    """The checked term table of one model and parameter set (or of
+    ``sc``), and the pairs its rows may take reflected."""
     if sc is None:
-        if first.model is None:
+        if model is None:
             raise ValueError("need either a catalog model or explicit brackets")
-        sc = catalog.build_model(first.model, params)
+        sc = catalog.build_model(model, params)
     res = jacobi_residual(sc)
     if res > 1e-10:
         raise ValueError(f"brackets violate the Jacobi identity (residual {res:.3e})")
     terms = compile_flow(sc)
     terms.check_diagonal()
+    return terms, _reflected_pairs(terms)
 
+
+def _integrate_batch(problems: list[FlowProblem],
+                     sc: StructureConstants | None) -> list[Trajectory]:
+    """Check and compile each table of the M problems once, split their
+    rows into blocks, and solve all blocks as one stacked DOP853 system."""
+    if not problems:
+        raise ValueError("need at least one flow problem")
+    first = problems[0]
+    controls = replace(first, model=None, params=None)
+    if any(replace(p, model=None, params=None, initial=first.initial) != controls
+           for p in problems):
+        raise ValueError("problems solved together may differ only in their model, "
+                         "parameters and initial data")
     lam = np.array([p.initial.array for p in problems])
     u0 = np.log(lam)
-    pairs = _reflected_pairs(terms)
-    # a row with u_i = u_j at the start keeps u_i = u_j exactly: no reflection
-    kinds = [tuple(pair for pair in pairs if u[pair[0]] != u[pair[1]]) for u in u0]
-    trajs: list[Trajectory] = [None] * len(problems)
-    for kind in dict.fromkeys(kinds):
-        rows = [k for k, row_kind in enumerate(kinds) if row_kind == kind]
-        for k, traj in zip(rows, _solve(first, params, terms, kind, lam[rows], u0[rows])):
-            trajs[k] = traj
-    return trajs
+    tables: dict = {}
+    blocks: dict = {}
+    for k, p in enumerate(problems):
+        params = p.resolved_params()
+        table = (p.model, None if params is None else tuple(sorted(params.items())))
+        if table not in tables:
+            if sc is not None and tables:
+                raise ValueError("rows solved with explicit brackets must share "
+                                 "their model and parameters")
+            tables[table] = _compile(p.model, params, sc)
+        terms, pairs = tables[table]
+        # a row with u_i = u_j at the start keeps u_i = u_j exactly: no reflection
+        kind = tuple(pair for pair in pairs if u0[k, pair[0]] != u0[k, pair[1]])
+        if (table, kind) not in blocks:
+            blocks[table, kind] = _Block(p.model, params, terms, kind)
+        blocks[table, kind].rows.append(k)
+    return _solve(first, list(blocks.values()), lam, u0)
 
 
-def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int, int], ...],
-           lam: np.ndarray, u0: np.ndarray) -> list[Trajectory]:
-    """One DOP853 solve of the rows' stacked coordinates, at tolerances
-    divided by sqrt(M): log g itself, or with each pair of ``pairs``
-    reflected (see the module docstring)."""
+def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
+           u0: np.ndarray) -> list[Trajectory]:
+    """One DOP853 solve of the M rows' stacked coordinates, block after
+    block, at tolerances divided by sqrt(M): log g itself, or with each of
+    a block's pairs reflected (see the module docstring)."""
     m = len(lam)
     t_eval = _sample_times(first.t_end, first.samples_per_decade, first.linear_samples)
     rtol = first.rel_tol / math.sqrt(m)
     atol = first.abs_tol / math.sqrt(m)
-    solver = "DOP853 on log g" + "".join(
-        f", ({'ABCDE'[i]},{'ABCDE'[j]}) -> (s, log|r|)" for i, j in pairs)
-    if pairs:
-        coords = _Reflected(terms, pairs, u0)
-        y0, rhs = coords.y0.ravel(), coords.rhs
+    # plain blocks first, so that several of them share one product
+    blocks = sorted(blocks, key=lambda block: bool(block.pairs))
+    bounds = [0, *accumulate(len(block.rows) for block in blocks)]
+    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) if b.pairs else None for b in blocks]
+    y0 = np.concatenate([u0[b.rows] if c is None else c.y0 for b, c in zip(blocks, coords)])
+    n_plain = coords.count(None)
+    # (stacked rows, their rhs): the plain rows, and each reflected block
+    pieces = [(rows, c.rhs) for rows, c in zip(slices, coords) if c is not None]
+    if n_plain:
+        plain_rhs = blocks[0].terms.log_rhs if n_plain == 1 else _union_rhs(blocks[:n_plain])
+        pieces.insert(0, (slice(0, bounds[n_plain]), plain_rhs))
+    if len(pieces) == 1:
+        piece_rhs = pieces[0][1]
+
+        def rhs(t, y):
+            return piece_rhs(y.reshape(m, -1)).ravel()
     else:
-        y0, rhs = u0.ravel(), lambda t, u: terms.log_rhs(u.reshape(m, -1)).ravel()
+        def rhs(t, y):
+            y = y.reshape(m, -1)
+            dy = np.empty_like(y)
+            for rows, piece_rhs in pieces:
+                dy[rows] = piece_rhs(y[rows])
+            return dy.ravel()
 
     # the module attribute, which loads scipy at first use (outside the
     # timed solve) and which a tracer or test may have replaced
@@ -413,7 +481,7 @@ def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int,
     sol = solve_ivp(
         rhs,
         (0.0, first.t_end),
-        y0,
+        y0.ravel(),
         method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
@@ -422,37 +490,59 @@ def _solve(first: FlowProblem, params, terms: FlowTerms, pairs: tuple[tuple[int,
     )
     wall_s = perf_counter() - start
     meta = {"t_end": first.t_end, "rel_tol": first.rel_tol, "abs_tol": first.abs_tol,
-            "solver": solver, "batch_size": m, "solver_rtol": rtol,
+            "solver": "DOP853 on log g", "batch_size": m, "solver_rtol": rtol,
             "solver_atol": atol, "nfev": int(sol.nfev), "wall_s": wall_s}
     termination = TERM_REACHED
     if sol.status == -1:
         termination = TERM_STEP_FAILURE
         meta["solver_message"] = sol.message
     log.info("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s [%s]",
-             first.model.value if first.model is not None else "brackets",
-             m, first.t_end, sol.nfev, wall_s, termination, solver)
+             ", ".join(block.label for block in blocks),
+             m, first.t_end, sol.nfev, wall_s, termination, meta["solver"])
 
     times, y = sol.t, sol.y
     if times.size == 0 or times[0] != 0.0:
         times = np.concatenate([[0.0], times])
-        y = np.column_stack([y0, y])
-    u = y.reshape(m, -1, times.size).transpose(0, 2, 1)  # (row, sample, coordinate)
-    if pairs:
-        u = coords.log_g(u, coords.sign[:, None, :])
-    monos = () if first.model is None else catalog.model_invariants(first.model).monomials
-    trajs = []
-    for lam_row, u_row in zip(lam, u):
-        coeffs = np.exp(u_row)
-        coeffs[0] = lam_row  # exp(log(lam)) can be an ulp off the initial data
-        trajs.append(Trajectory(
-            times=times,
-            coeffs=coeffs,
-            termination=termination,
-            model=first.model,
-            params=params,
-            meta=dict(meta, max_drift=max((mo.drift(coeffs) for mo in monos), default=0.0)),
-        ))
+        y = np.column_stack([y0.ravel(), y])
+    y = y.reshape(m, -1, times.size).transpose(0, 2, 1)  # (row, sample, coordinate)
+    trajs: list[Trajectory] = [None] * m
+    for block, rows, c in zip(blocks, slices, coords):
+        u = y[rows] if c is None else c.log_g(y[rows], c.sign[:, None, :])
+        block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
+        monos = () if block.model is None else catalog.model_invariants(block.model).monomials
+        for k, u_row in zip(block.rows, u):
+            coeffs = np.exp(u_row)
+            coeffs[0] = lam[k]  # exp(log(lam)) can be an ulp off the initial data
+            trajs[k] = Trajectory(
+                times=times,
+                coeffs=coeffs,
+                termination=termination,
+                model=block.model,
+                params=block.params,
+                meta=dict(block_meta,
+                          max_drift=max((mo.drift(coeffs) for mo in monos), default=0.0)),
+            )
     return trajs
+
+
+def _union_rhs(blocks: list[_Block]):
+    """du/dt of the rows of several plain blocks, stacked in block order,
+    as one product with the union of their term tables.  Each row gets
+    -inf added to the logs of the other tables' terms, so those add
+    exp(-inf) * rate = 0 exactly and each row sums only its own terms."""
+    exps = np.concatenate([block.terms.exps for block in blocks])
+    rates = np.concatenate([block.terms.rates for block in blocks])
+    mask = np.full((sum(len(block.rows) for block in blocks), len(exps)), -np.inf)
+    row = term = 0
+    for block in blocks:
+        mask[row:row + len(block.rows), term:term + len(block.terms.exps)] = 0.0
+        row += len(block.rows)
+        term += len(block.terms.exps)
+
+    def rhs(u: np.ndarray) -> np.ndarray:
+        return np.exp(u @ exps.T + mask) @ rates
+
+    return rhs
 
 
 class _Reflected:
@@ -496,13 +586,13 @@ class _Reflected:
         r = sign * np.exp(y @ self.w_of_y)
         return y @ self.u_of_y + r @ self.u_of_r
 
-    def rhs(self, t, y):
-        y = y.reshape(self.sign.shape[0], -1)
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """dy/dt at y (one row per row of ``sign``)."""
         r = self.sign * np.exp(y @ self.w_of_y)
         ez = np.exp(y @ self.z_of_y + r @ self.z_of_r)
         x = r @ self.x_of_r
         ez[:, self.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        return (ez @ self.dy_of_ez).ravel()
+        return ez @ self.dy_of_ez
 
 
 def integrate_brackets(

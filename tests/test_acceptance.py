@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
+from solvflow import verify
 from solvflow.asymptotics import fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.flow import FlowProblem, Trajectory, integrate
-from solvflow.verify import _RUNS, CRITERION_TITLES, VerifySession
+from solvflow.verify import _CRITERION_RUNS, _RUNS, CRITERION_TITLES, VerifySession
 
 RUNTIME_BUDGETS = {1: 1.0, 4: 30.0, 5: 120.0}
 
@@ -84,18 +85,49 @@ def test_d11_order_gated_over_the_long_run(report):
 
 
 def test_report_tabulates_each_run(report):
+    # the runs of one horizon share a stacked solve, and so do criterion 4's
     c4 = {f"c4_{model.value}" for model in ModelId}
-    assert c4 <= set(report.runs) <= c4 | set(_RUNS)
-    assert "d11_case2_1e4" in report.runs
+    assert set(report.runs) == c4 | set(_RUNS)
+    horizons = [t_end for _, _, t_end in _RUNS.values()]
     for key, run in report.runs.items():
         assert set(run) == {"solver", "nfev", "wall_s", "termination", "batch_size",
                             "max_drift"}, key
         assert run["termination"] == "reached_t_end", key
         assert run["nfev"] > 0 and run["wall_s"] > 0.0, key
-        assert run["batch_size"] == (20 if key in c4 else 1), key
+        assert run["batch_size"] == (100 if key in c4 else horizons.count(_RUNS[key][2])), key
         assert all(math.isfinite(run[k]) for k in ("nfev", "wall_s", "max_drift")), key
     assert report.runs["c4_D11"]["solver"] == "DOP853 on log g, (B,C) -> (s, log|r|)"
+    assert [report.runs[k]["batch_size"] for k in ("d1_case1_1e6", "d2_case1_bern_1e4",
+                                                   "d11_case2_10", "d3_selfsim_1e3")] == [6, 2, 2, 1]
     json.dumps(report.as_dict()["runs"], allow_nan=False)
+
+
+def test_every_run_is_declared_by_a_criterion():
+    declared = {key for keys in _CRITERION_RUNS.values() for key in keys}
+    assert declared == set(_RUNS)
+    assert set(_CRITERION_RUNS) <= set(CRITERION_TITLES)
+
+
+@pytest.mark.parametrize("number", sorted(CRITERION_TITLES))
+def test_criterion_solves_exactly_its_declared_runs(monkeypatch, number):
+    # run_all solves the declared runs up front, so no criterion falls back
+    # to a lazy solve of its own
+    def no_lazy_solve(problem, sc=None):
+        raise AssertionError(f"lazy solve of {problem}")
+
+    monkeypatch.setattr(verify, "integrate", no_lazy_solve)
+    session = VerifySession(seed=0)
+    report = session.run_all([number])
+    assert report.criteria[0].passed
+    declared = set(_CRITERION_RUNS.get(number, ()))
+    assert set(session._cache) == declared
+    assert set(report.runs) - set(session._batches) == declared
+
+
+def test_runs_of_unselected_models_are_not_solved():
+    session = VerifySession(seed=0, models=[ModelId.D1, ModelId.D5])
+    session.run_all([3, 5, 6, 7, 9])
+    assert set(session._cache) == {"d5_unit_10", "d1_case1_1e6", "d1_case2_1e6"}
 
 
 class TestCriterion11:

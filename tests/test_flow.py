@@ -84,15 +84,14 @@ def deviation(traj, log_ref):
 
 @pytest.fixture(scope="module")
 def criterion_4_batches():
-    """Criterion 4's seed-0 problems, 20 per model in its draw order, each
-    model's solved as one batch."""
+    """Criterion 4's seed-0 problems, 20 per model in its draw order, all
+    solved as one 100-row batch, and split by model."""
     rng = VerifySession(seed=0)._rng(4)
-    out = {}
-    for model in ModelId:
-        problems = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
-                    for _ in range(20)]
-        out[model] = (problems, integrate_many(problems))
-    return out
+    problems = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
+                for model in ModelId for _ in range(20)]
+    batch = integrate_many(problems)
+    return {model: (problems[20 * k:20 * (k + 1)], batch[20 * k:20 * (k + 1)])
+            for k, model in enumerate(ModelId)}
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +215,21 @@ class TestIntegrate:
                     if r.name == "solvflow.flow" and r.getMessage().startswith("solved")]
         assert record.levelno == logging.INFO
         line = record.getMessage()
-        assert "D5" in line and "M=3" in line and "t_end=10" in line
+        assert line.startswith("solved D5×3: M=3 t_end=10 ")
         assert "nfev=" in line and "reached_t_end" in line
+
+    def test_log_line_lists_the_blocks_of_a_stacked_solve(self, caplog):
+        caplog.set_level(logging.INFO, logger="solvflow.flow")
+        integrate_many([FlowProblem(model, InitialData(lam), 10.0) for model, lam in (
+            (ModelId.D11, (1, 2, 1, 1, 1)), (ModelId.D1, (1, 2, 3, 1, 1)),
+            (ModelId.D11, (1, 1, 1, 2, 1)), (ModelId.D1, (2, 1, 1, 1, 1)))])
+        [record] = [r for r in caplog.records
+                    if r.name == "solvflow.flow" and r.getMessage().startswith("solved")]
+        line = record.getMessage()
+        # plain blocks first, in order of first appearance, then reflected ones
+        assert line.startswith("solved D1×2, D11×1, D11×1 (B,C) -> (s, log|r|): M=4 t_end=10 ")
+        assert "nfev=" in line and "wall=" in line and line.endswith(
+            "reached_t_end [DOP853 on log g]")
 
     def test_non_lie_brackets_rejected(self):
         bad = StructureConstants.from_brackets(
@@ -258,12 +270,14 @@ class TestIntegrateMany:
 
     @pytest.mark.parametrize("model", list(ModelId))
     def test_rows_as_accurate_as_single_runs(self, criterion_4_batches, model):
-        # the sqrt(M) tolerance scaling keeps each row at least as close to a
-        # tight reference as the row's own run at the default tolerances
-        # (measured: at most 0.49 times as far; unscaled, 2 to 10 rows per
-        # model are farther).  For generic D11 the reference is the Radau
-        # oracle: a tight DOP853 run in plain coordinates resolves B - C
-        # no better than the problem's own absolute tolerance.
+        # the sqrt(M) tolerance scaling keeps each row of the 100-row batch at
+        # least as close to a tight reference as the row's own run at the
+        # default tolerances (measured: at most 0.14, 0.13, 0.26, 0.13 and
+        # 0.41 times as far for D1, D2, D3, D5 and D11; in 20-row batches of
+        # one model, unscaled, 2 to 10 rows per model are farther).  For
+        # generic D11 the reference is the Radau oracle: a tight DOP853 run in
+        # plain coordinates resolves B - C no better than the problem's own
+        # absolute tolerance.
         problems, batch = criterion_4_batches[model]
         if model is ModelId.D11:
             refs = radau_reference(terms_of(model), problems, batch[0].times)
@@ -284,15 +298,73 @@ class TestIntegrateMany:
     def test_batch_meta(self, criterion_4_batches):
         _, batch = criterion_4_batches[ModelId.D3]
         meta = batch[0].meta
-        assert meta["batch_size"] == 20
-        assert meta["solver_rtol"] == meta["rel_tol"] / math.sqrt(20)
-        assert meta["solver_atol"] == meta["abs_tol"] / math.sqrt(20)
-        assert all(t.meta["nfev"] == meta["nfev"] for t in batch)  # the stacked solve's
+        assert meta["batch_size"] == 100
+        assert meta["solver_rtol"] == meta["rel_tol"] / math.sqrt(100)
+        assert meta["solver_atol"] == meta["abs_tol"] / math.sqrt(100)
+        everyone = [t for _, rows in criterion_4_batches.values() for t in rows]
+        assert all(t.meta["nfev"] == meta["nfev"] for t in everyone)  # the stacked solve's
         assert len({t.meta["max_drift"] for t in batch}) > 1  # each row's own
 
+    def test_rows_keep_their_model_and_order(self, criterion_4_batches):
+        for model, (problems, batch) in criterion_4_batches.items():
+            for problem, traj in zip(problems, batch):
+                assert traj.model is model
+                assert traj.params == catalog.constrained_params(model)
+                assert np.array_equal(traj.coeffs[0], problem.initial.array)
+            assert {t.meta["solver"] for t in batch} == {
+                "DOP853 on log g, (B,C) -> (s, log|r|)" if model is ModelId.D11
+                else "DOP853 on log g"}
+
+    def test_rows_may_differ_in_model_and_params(self, caplog):
+        caplog.set_level(logging.INFO, logger="solvflow.flow")
+        d11_minus = {**catalog.constrained_params(ModelId.D11), "eps": -1.0, "kappa": -1.0}
+        problems = [FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0),
+                    FlowProblem(ModelId.D2, InitialData((1, 2, 1, 1, 1)), 10.0),
+                    FlowProblem(ModelId.D11, InitialData((1, 2, 1, 1, 1)), 10.0,
+                                params=d11_minus),
+                    FlowProblem(ModelId.D11, InitialData((1, 2, 1, 1, 1)), 10.0)]
+        batch = integrate_many(problems)
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
+        # one stacked solve, and a block per table: the D11 parameter sets differ
+        assert line.startswith("solved D5×1, D2×1, D11×1 (B,C) -> (s, log|r|), "
+                               "D11×1 (B,C) -> (s, log|r|): M=4 ")
+        for problem, traj in zip(problems, batch):
+            assert traj.model is problem.model
+            assert traj.params == problem.resolved_params()
+            assert traj.meta["batch_size"] == 4
+            own = integrate(problem)
+            assert own.meta["solver"] == traj.meta["solver"]
+            assert np.allclose(traj.coeffs, own.coeffs, rtol=1e-9, atol=0.0)
+
+    def test_plain_tables_share_one_exact_product(self):
+        # the union of the tables gives each row exactly its own table's
+        # rates, so a D11 row with B = C keeps B = C to the last bit
+        problems = [FlowProblem(model, InitialData(lam), 1e4, rel_tol=1e-12, abs_tol=1e-14)
+                    for model, lam in ((ModelId.D1, (1.0, 1.2, 0.8, 1.5, 2.25)),
+                                       (ModelId.D11, (1, 1, 1, 2, 1)),
+                                       (ModelId.D3, (1, 1, 1, 1, 1)),
+                                       (ModelId.D2, (1.0, 1.1, 1.3, 0.9, 1.2)))]
+        batch = integrate_many(problems)
+        assert np.array_equal(batch[1].coeffs[:, 1], batch[1].coeffs[:, 2])
+        blocks = [flow._Block(p.model, p.resolved_params(),
+                              terms_of(p.model), (), [k]) for k, p in enumerate(problems)]
+        u = np.log(np.random.default_rng(3).uniform(0.1, 10.0, (4, 5)))
+        u[1, 2] = u[1, 1]
+        stacked = flow._union_rhs(blocks)(u)
+        for k, block in enumerate(blocks):
+            assert np.array_equal(stacked[k], block.terms.log_rhs(u[k:k + 1])[0])
+
+    def test_mixed_batch_with_explicit_brackets_raises(self, monkeypatch):
+        # explicit brackets are one table, which cannot serve two models
+        monkeypatch.setattr(flow, "solve_ivp", no_solver)
+        sc = catalog.build_model(ModelId.D5, catalog.constrained_params(ModelId.D5))
+        first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
+        for other in (dataclasses.replace(first, model=ModelId.D2),
+                      dataclasses.replace(first, params={"eps": -1.0})):
+            with pytest.raises(ValueError, match="explicit brackets"):
+                integrate_many([first, other], sc=sc)
+
     @pytest.mark.parametrize("change", [
-        {"model": ModelId.D2},
-        {"params": {"eps": -1.0}},
         {"t_end": 20.0},
         {"rel_tol": 1e-10},
         {"abs_tol": 1e-12},
@@ -303,7 +375,7 @@ class TestIntegrateMany:
         monkeypatch.setattr(flow, "solve_ivp", no_solver)
         first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
         other = dataclasses.replace(first, initial=InitialData((1, 2, 1, 1, 1)), **change)
-        with pytest.raises(ValueError, match="initial data"):
+        with pytest.raises(ValueError, match="model, parameters and initial data"):
             integrate_many([first, other])
 
     def test_empty_batch_raises(self):
@@ -379,7 +451,7 @@ class TestReflectedCoordinates:
                                 np.log(D), np.log(E)])
         assert np.allclose(coords.y0, want, rtol=1e-15, atol=0.0)
         assert np.allclose(coords.log_g(coords.y0, coords.sign), u0, rtol=0.0, atol=1e-15)
-        dy = coords.rhs(0.0, coords.y0.ravel()).reshape(2, 5)
+        dy = coords.rhs(coords.y0)
         assert np.allclose(dy[:, 1], A / (B * C), rtol=1e-14)
         assert np.allclose(dy[:, 2], -4.0 / E * np.sinh(r) / r, rtol=1e-14)
         assert np.allclose(dy[:, 4], (4.0 * np.sinh(r / 2) ** 2 + A / D) / E, rtol=1e-14)
@@ -394,9 +466,9 @@ class TestReflectedCoordinates:
         coords = flow._Reflected(terms, ((1, 2),), u0)
         y = coords.y0.copy()
         y[0, 2] = -3.3e3
-        dy = coords.rhs(0.0, y.ravel())
+        dy = coords.rhs(y)
         assert np.all(np.isfinite(dy))
-        assert dy[2] == pytest.approx(-4.0 / 3.0, rel=1e-15)  # the limit -4/E
+        assert dy[0, 2] == pytest.approx(-4.0 / 3.0, rel=1e-15)  # the limit -4/E
 
     def test_generic_d11_keeps_its_order_and_is_not_stiff(self):
         traj = run(ModelId.D11, (1, 2, 1, 1, 1), 1e4)
@@ -407,8 +479,10 @@ class TestReflectedCoordinates:
         assert traj.meta["max_drift"] < 1e-13  # 2 log A + 2 s + 2 log D is linear
 
     def test_mixed_batch_splits_by_kind(self, mixed_d11):
+        # one stacked solve, with a block of reflected rows and a plain one
         problems, batch, _ = mixed_d11
-        assert [t.meta["batch_size"] for t in batch] == [2, 1, 2]
+        assert [t.meta["batch_size"] for t in batch] == [3, 3, 3]
+        assert len({t.meta["nfev"] for t in batch}) == 1
         assert [t.meta["solver"] for t in batch] == [
             "DOP853 on log g, (B,C) -> (s, log|r|)", "DOP853 on log g",
             "DOP853 on log g, (B,C) -> (s, log|r|)"]
@@ -417,29 +491,30 @@ class TestReflectedCoordinates:
             B, C = traj.coeffs[:, 1], traj.coeffs[:, 2]
             sign = np.sign(B[0] - C[0])
             if sign == 0:
-                assert np.array_equal(traj.coeffs, integrate(problem).coeffs)
+                assert np.array_equal(B, C)  # plain coordinates keep r = 0 exactly
             else:
                 assert np.all(sign * (B - C) >= 0.0)  # ties once r < an ulp, no flips
-        assert batch[0].meta["solver_rtol"] == problems[0].rel_tol / math.sqrt(2)
-        assert batch[1].meta["solver_rtol"] == problems[1].rel_tol
+        assert all(t.meta["solver_rtol"] == problems[0].rel_tol / math.sqrt(3) for t in batch)
 
     def test_run_summary_sums_the_distinct_solves(self, mixed_d11):
-        # the report's per-run table counts each stacked solve once
+        # the report's per-run table counts each stacked solve once, although
+        # its rows name different coordinates
         _, batch, _ = mixed_d11
-        summary = _run_summary(batch)
+        other = run(ModelId.D5, (1, 1, 1, 1, 1), 10.0)
+        summary = _run_summary([*batch, other])
         assert summary["solver"] == ("DOP853 on log g, (B,C) -> (s, log|r|); "
                                      "DOP853 on log g")
         assert summary["termination"] == "reached_t_end"
-        assert summary["batch_size"] == 3
-        assert summary["nfev"] == batch[0].meta["nfev"] + batch[1].meta["nfev"]
-        assert summary["wall_s"] == batch[0].meta["wall_s"] + batch[1].meta["wall_s"]
-        assert summary["max_drift"] == max(t.meta["max_drift"] for t in batch)
+        assert summary["batch_size"] == 3 + 1
+        assert summary["nfev"] == batch[0].meta["nfev"] + other.meta["nfev"]
+        assert summary["wall_s"] == batch[0].meta["wall_s"] + other.meta["wall_s"]
+        assert summary["max_drift"] == max(t.meta["max_drift"] for t in [*batch, other])
 
     def test_reflected_rows_closer_to_oracle_than_plain_solve(self, mixed_d11):
         problems, batch, refs = mixed_d11
         terms = terms_of(ModelId.D11)
         for problem, traj, ref in zip(problems, batch, refs):
-            if traj.meta["batch_size"] == 1:
+            if traj.meta["solver"] == "DOP853 on log g":
                 continue
             plain = plain_solve(terms, problem, traj.times)
             assert deviation(traj, ref) <= float(np.max(np.abs(plain.y.T - ref)))
@@ -449,7 +524,7 @@ class TestReflectedCoordinates:
         run(ModelId.D11, (1, 2, 1, 1, 1), 10.0)
         [record] = [r for r in caplog.records
                     if r.name == "solvflow.flow" and r.getMessage().startswith("solved")]
-        assert "(B,C) -> (s, log|r|)" in record.getMessage()
+        assert record.getMessage().startswith("solved D11×1 (B,C) -> (s, log|r|): M=1 ")
 
 
 class TestSerialization:

@@ -80,4 +80,4 @@ print(json.dumps({"loaded_before": loaded_before, "same": same, "calls": calls,
     levels = [level for level, _ in got["records"]]
     assert levels == ["DEBUG", "INFO", "INFO"]
     assert got["records"][0][1].startswith("loaded scipy.integrate in ")
-    assert all(msg.startswith("solved D5: M=1 ") for _, msg in got["records"][1:])
+    assert all(msg.startswith("solved D5×1: M=1 ") for _, msg in got["records"][1:])
