@@ -354,17 +354,9 @@ class TestIntegrateMany:
         for k, block in enumerate(blocks):
             assert np.array_equal(stacked[k], block.terms.log_rhs(u[k:k + 1])[0])
 
-    def test_mixed_batch_with_explicit_brackets_raises(self, monkeypatch):
-        # explicit brackets are one table, which cannot serve two models
-        monkeypatch.setattr(flow, "solve_ivp", no_solver)
-        sc = catalog.build_model(ModelId.D5, catalog.constrained_params(ModelId.D5))
-        first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
-        for other in (dataclasses.replace(first, model=ModelId.D2),
-                      dataclasses.replace(first, params={"eps": -1.0})):
-            with pytest.raises(ValueError, match="explicit brackets"):
-                integrate_many([first, other], sc=sc)
-
     @pytest.mark.parametrize("change", [
+        {"model": ModelId.D2},
+        {"params": {"eps": -1.0}},
         {"t_end": 20.0},
         {"rel_tol": 1e-10},
         {"abs_tol": 1e-12},
@@ -372,11 +364,16 @@ class TestIntegrateMany:
         {"linear_samples": 17},
     ])
     def test_problems_differing_beyond_initial_data_raise(self, monkeypatch, change):
+        # rows may differ in model and parameters, except under explicit
+        # brackets: those are one table, which cannot serve two models
         monkeypatch.setattr(flow, "solve_ivp", no_solver)
+        sc = catalog.build_model(ModelId.D5, catalog.constrained_params(ModelId.D5))
         first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
         other = dataclasses.replace(first, initial=InitialData((1, 2, 1, 1, 1)), **change)
-        with pytest.raises(ValueError, match="model, parameters and initial data"):
-            integrate_many([first, other])
+        match = ("explicit brackets" if change.keys() & {"model", "params"}
+                 else "model, parameters and initial data")
+        with pytest.raises(ValueError, match=match):
+            integrate_many([first, other], sc=sc)
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
