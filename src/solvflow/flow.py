@@ -7,15 +7,25 @@ rounding, and g = exp(u) stays positive without a floor or an event.  A
 finite-time collapse (u -> -inf) ends the run as a step-size underflow.
 
 Integration is delegated to scipy's DOP853 (an 8(5,3) embedded pair with
-PI step control), and scipy is loaded at the first solve, not on import.
-Loading ``scipy.integrate``, with the ``scipy.linalg`` it pulls in, takes
-about 0.6 s on 2 cores, where ``import solvflow`` without it takes about
-0.22 s; so the commands and callers that never integrate skip that cost,
-and the first solve in a process pays it.  The solver is always called
-through the module attribute ``flow.solve_ivp``, which the first access
-resolves and stores, so a tracer or a test that replaces that attribute
-sees every solve.  Samples are recorded on a linear grid on [0, 1] and a
-geometric grid afterwards, which is what the power-law fits consume.
+PI step control; Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), and
+scipy is loaded at the first solve, not on import.  Loading
+``scipy.integrate``, with the ``scipy.linalg`` it pulls in, takes about
+0.6 s on 2 cores, where ``import solvflow`` without it takes about 0.22 s;
+so the commands and callers that never integrate skip that cost, and the
+first solve in a process pays it.  The solver is always called through the
+module attribute ``flow.solve_ivp``, with the step method
+``flow.RowwiseDOP853``; the first access of each resolves or builds it and
+stores it, so a tracer or a test that replaces ``solve_ivp`` sees every
+solve.  Samples are recorded on a linear grid on [0, 1] and a geometric
+grid afterwards, which is what the power-law fits consume.
+
+The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt.
+Its solutions approach power laws g ~ c t^k, which are nearly straight
+lines in log g against tau, so DOP853 crosses each decade past t = 100 in
+about 5 steps, where in t it took about 23 (runs of D1, D2 and D3 to
+t = 1e6 at rel_tol 1e-12).  The sample grid is mapped to tau by ``log1p``,
+and each trajectory reports the grid's own times.  Criterion 4's 100-row
+solve to t = 1e4 takes 1,136 evaluations instead of 1,970.
 
 Some coordinates are reflected first.  Let a transposition (i j) of the
 coordinates map the term table onto itself, and put r = u_i - u_j.  Pair
@@ -36,9 +46,10 @@ r, so r = 0 is invariant and no solution crosses it.
     s = (u_i + u_j)/2 and w = log|r|, each row keeping the sign of its r.
     w' = sum_k c_k exp(mid_k) sinh(d_k r/2)/r is smooth and stays finite
     once r underflows (for D11 it tends to -4/E), and the sign of B - C is
-    fixed by construction; B and C tie once r is below an ulp of s.  The
-    run to t = 1e4 takes 1,733 evaluations instead of 9,029, and
-    criterion 4's 20-row D11 batch 1,706 instead of 12,233.
+    fixed by construction; B and C tie once r is below an ulp of s.  In t,
+    the run to t = 1e4 took 1,733 evaluations instead of 9,029, and
+    criterion 4's 20-row D11 batch 1,706 instead of 12,233 (in tau, 962
+    each).
   * A moving swap that shares a coordinate with another one (su(2) + R^2:
     A, B and C) keeps plain coordinates, and so does a row that starts with
     r = 0, where r = 0 holds exactly.
@@ -60,15 +71,32 @@ each block's slice: a reflected block through its own coordinates, and the
 plain rows of several blocks through one product with the union of their
 tables, where the logs of the other tables' terms are -inf in each row, so
 those terms add exactly 0.  A batch of one block uses that block's
-right-hand side alone, as a single run does.  scipy's error norm is an RMS
-over all components, so rtol and atol are divided by sqrt(M), which keeps
-each row's share of the norm within the row's own tolerance.  DOP853 mixes
-its 5th- and 3rd-order estimates nonlinearly, so this bound is measured,
-not strict: each row of criterion 4's 100-row batch of all five models
-lies closer to a tight reference than its own single run does (for D11
-the reference is a Radau solve in plain coordinates).  ``solvflow check`` solves its 111 rows in 6
-solves and 8,694 evaluations, where one solve per model and run took 17
-and 29,263.
+right-hand side alone, as a single run does.  The step control holds each
+row to its own tolerance: ``RowwiseDOP853`` takes DOP853's error norm of
+every row on its own and accepts a step when the largest is below 1, so a
+row's steps are at least as fine as its own run would take, whatever the
+other rows do.  The solver runs at a tenth of the problem's rel_tol and
+abs_tol, the divisor that keeps runs in tau at least as accurate as they
+were in t.  Worst |delta log g| of criterion 4's seed-0 draws to t = 1e4
+against a DOP853 solve in t at rtol 2.3e-14 and atol 1e-17 (for generic
+D11, a Radau solve in plain coordinates at rtol 1e-13), for D1, D2, D3, D5
+and D11:
+
+  solve                                 D1       D2       D3       D5       D11
+  in t, RMS norm at tol/sqrt(M), batch  1.1e-12  1.3e-12  1.6e-12  2.2e-12  2.9e-12
+  in t, single runs                     8.8e-12  1.1e-11  1.2e-11  1.8e-11  7.5e-12
+  in tau at tol, single runs            4.9e-11  2.1e-11  4.9e-11  6.5e-11  7.2e-11
+  in tau at tol/10, row-wise, batch     1.7e-13  1.9e-13  2.4e-13  3.3e-13  2.9e-12
+  in tau at tol/10, single runs         5.3e-12  2.9e-12  6.6e-12  8.5e-12  8.3e-12
+
+In tau at the problem's own tolerances single runs lose accuracy, hence
+the tenth.  With an RMS norm over all rows at tolerances divided by
+sqrt(M), one D2 row of the batch lies 1.44 times as far from the reference
+as its own run, at any divisor from 1 to 30; with the row-wise norm every
+row lies at most 0.66 times as far (D11, 0.61; the D11 figures are set by
+the Radau reference).  ``solvflow check`` solves its 111 rows in 6 solves.
+Each solve's ``meta`` records its accepted and rejected steps and its
+smallest step in tau.
 """
 from __future__ import annotations
 
@@ -106,17 +134,68 @@ TERM_REACHED = "reached_t_end"
 TERM_STEP_FAILURE = "step_failure"
 
 
-def __getattr__(name: str):
-    """Load ``solve_ivp`` at its first use and keep it as a module global
-    (PEP 562), so that ``import solvflow`` loads no scipy."""
-    if name != "solve_ivp":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the solver runs at the problem's tolerances divided by this (see the
+# module docstring), and scipy raises any rtol below 100 machine epsilons
+_TOL_DIVISOR = 10
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
+
+
+def _load_solve_ivp():
     start = perf_counter()
     from scipy.integrate import solve_ivp
 
     log.debug("loaded scipy.integrate in %.3fs", perf_counter() - start)
-    globals()[name] = solve_ivp
     return solve_ivp
+
+
+def _build_rowwise_dop853():
+    from scipy.integrate import DOP853
+
+    class RowwiseDOP853(DOP853):
+        """scipy's DOP853 with each of ``rows`` stacked rows of equal width
+        held to its own tolerance: the error norm is the largest of the
+        rows' own DOP853 norms.  scipy accepts a step exactly when that norm
+        is below 1, so the norm also records, in the dict ``counts``, the
+        accepted steps (``steps``), the rejected ones (``rejected_steps``)
+        and the smallest accepted step (``min_step``)."""
+
+        def __init__(self, fun, t0, y0, t_bound, *, rows, counts, **options):
+            self.rows = rows
+            self.counts = counts
+            counts.update(steps=0, rejected_steps=0, min_step=math.inf)
+            super().__init__(fun, t0, y0, t_bound, **options)
+
+        def _estimate_error_norm(self, K, h, scale):
+            err5 = (np.dot(K.T, self.E5) / scale).reshape(self.rows, -1)
+            err3 = (np.dot(K.T, self.E3) / scale).reshape(self.rows, -1)
+            err5_2 = np.einsum("ij,ij->i", err5, err5)
+            denom = err5_2 + 0.01 * np.einsum("ij,ij->i", err3, err3)
+            # a row without error has norm 0, and a NaN estimate stays NaN,
+            # which rejects the step, as in scipy's own norm
+            row_norms = np.divide(err5_2, np.sqrt(denom * err5.shape[1]),
+                                  out=np.zeros_like(denom), where=denom != 0.0)
+            norm = abs(h) * float(np.max(row_norms))
+            if norm < 1.0:
+                self.counts["steps"] += 1
+                self.counts["min_step"] = min(self.counts["min_step"], abs(float(h)))
+            else:
+                self.counts["rejected_steps"] += 1
+            return norm
+
+    return RowwiseDOP853
+
+
+_LAZY = {"solve_ivp": _load_solve_ivp, "RowwiseDOP853": _build_rowwise_dop853}
+
+
+def __getattr__(name: str):
+    """Load ``solve_ivp`` and build ``RowwiseDOP853`` at their first use,
+    and keep each as a module global (PEP 562), so that ``import solvflow``
+    loads no scipy."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _LAZY[name]()
+    return value
 
 
 @dataclass(frozen=True)
@@ -126,6 +205,14 @@ class FlowProblem:
     The flow is solved for log g, or for coordinates that reflect a pair of
     its components (see the module docstring), so ``rel_tol`` and
     ``abs_tol`` bound the error in log g, i.e. the relative error in g.
+    They bound the local error of each step, for each row on its own: the
+    solver accepts a step only when every row's DOP853 error estimate is
+    within ``rel_tol/10`` and ``abs_tol/10``, whatever rows it is stacked
+    with.  The global error that leaves is measured, not bounded: in the
+    module docstring's table it is below that of a DOP853 run in t at
+    ``rel_tol`` and ``abs_tol``.  ``rel_tol`` must be at least 10 times
+    scipy's floor of 100 machine epsilons (about 2.2e-13), to which scipy
+    would otherwise raise the solver's tolerance.
     Diagonality has no control: it is decided exactly from the brackets
     (see :func:`solvflow.curvature.compile_flow`) before the run starts.
     """
@@ -146,6 +233,10 @@ class FlowProblem:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        if self.rel_tol / _TOL_DIVISOR < _RTOL_FLOOR:
+            raise ValueError(f"rel_tol must be at least {_TOL_DIVISOR * _RTOL_FLOOR:.3g}: "
+                             f"the solver runs at rel_tol/{_TOL_DIVISOR}, and scipy "
+                             f"raises a relative tolerance below {_RTOL_FLOOR:.3g}")
         if self.samples_per_decade < 1 or self.linear_samples < 2:
             raise ValueError("sampling grid too coarse")
         if not isinstance(self.initial, InitialData):
@@ -166,9 +257,12 @@ class Trajectory:
 
     ``meta`` says how the run was produced: the problem's tolerances, the
     solver and the coordinates it solved in (``solver``, for instance
-    ``DOP853 on log g, (B,C) -> (s, log|r|)``), the number of rows solved
-    together (``batch_size``), the tolerances the solver was given, and
-    ``nfev`` and ``wall_s`` of that solve.  For a catalog model it also
+    ``DOP853 on log g in log(1+t), (B,C) -> (s, log|r|)``), the number of
+    rows solved together (``batch_size``), the tolerances the solver was
+    given, and of that solve ``nfev``, the accepted and rejected steps
+    (``steps``, ``rejected_steps``), the smallest accepted step in
+    log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  For a
+    catalog model it also
     gives the worst relative drift of its named conserved monomials over
     the run (``max_drift``).
     Diagonality needs no per-sample record: :func:`integrate` refuses,
@@ -442,13 +536,14 @@ def _integrate_batch(problems: list[FlowProblem],
 
 def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
            u0: np.ndarray) -> list[Trajectory]:
-    """One DOP853 solve of the M rows' stacked coordinates, block after
-    block, at tolerances divided by sqrt(M): log g itself, or with each of
-    a block's pairs reflected (see the module docstring)."""
+    """One DOP853 solve in log(1+t) of the M rows' stacked coordinates,
+    block after block, each row held to a tenth of the problem's tolerances:
+    log g itself, or with each of a block's pairs reflected (see the module
+    docstring)."""
     m = len(lam)
-    t_eval = _sample_times(first.t_end, first.samples_per_decade, first.linear_samples)
-    rtol = first.rel_tol / math.sqrt(m)
-    atol = first.abs_tol / math.sqrt(m)
+    times = _sample_times(first.t_end, first.samples_per_decade, first.linear_samples)
+    rtol = first.rel_tol / _TOL_DIVISOR
+    atol = first.abs_tol / _TOL_DIVISOR
     # plain blocks first, so that several of them share one product
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
     bounds = [0, *accumulate(len(block.rows) for block in blocks)]
@@ -461,49 +556,57 @@ def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
     if n_plain:
         plain_rhs = blocks[0].terms.log_rhs if n_plain == 1 else _union_rhs(blocks[:n_plain])
         pieces.insert(0, (slice(0, bounds[n_plain]), plain_rhs))
+    # in tau = log(1 + t), dy/dtau = (1 + t) dy/dt
     if len(pieces) == 1:
         piece_rhs = pieces[0][1]
 
-        def rhs(t, y):
-            return piece_rhs(y.reshape(m, -1)).ravel()
+        def rhs(tau, y):
+            return math.exp(tau) * piece_rhs(y.reshape(m, -1)).ravel()
     else:
-        def rhs(t, y):
+        def rhs(tau, y):
             y = y.reshape(m, -1)
             dy = np.empty_like(y)
             for rows, piece_rhs in pieces:
                 dy[rows] = piece_rhs(y[rows])
-            return dy.ravel()
+            return math.exp(tau) * dy.ravel()
 
-    # the module attribute, which loads scipy at first use (outside the
-    # timed solve) and which a tracer or test may have replaced
-    solve_ivp = sys.modules[__name__].solve_ivp
+    # module attributes, which load scipy at first use (outside the timed
+    # solve) and which a tracer or test may have replaced
+    module = sys.modules[__name__]
+    solve_ivp, method = module.solve_ivp, module.RowwiseDOP853
+    counts: dict = {}
     start = perf_counter()
     sol = solve_ivp(
         rhs,
-        (0.0, first.t_end),
+        (0.0, math.log1p(first.t_end)),
         y0.ravel(),
-        method="DOP853",
-        t_eval=t_eval,
+        method=method,
+        t_eval=np.log1p(times),
         rtol=rtol,
         atol=atol,
-        max_step=0.1 * (first.t_end + 1.0),
+        rows=m,
+        counts=counts,
     )
     wall_s = perf_counter() - start
     meta = {"t_end": first.t_end, "rel_tol": first.rel_tol, "abs_tol": first.abs_tol,
-            "solver": "DOP853 on log g", "batch_size": m, "solver_rtol": rtol,
-            "solver_atol": atol, "nfev": int(sol.nfev), "wall_s": wall_s}
+            "solver": "DOP853 on log g in log(1+t)", "batch_size": m, "solver_rtol": rtol,
+            "solver_atol": atol, "nfev": int(sol.nfev), "steps": counts["steps"],
+            "rejected_steps": counts["rejected_steps"],
+            "min_step_log_t": counts["min_step"] if counts["steps"] else None,
+            "wall_s": wall_s}
     termination = TERM_REACHED
     if sol.status == -1:
         termination = TERM_STEP_FAILURE
         meta["solver_message"] = sol.message
-    log.info("solved %s: M=%d t_end=%g nfev=%d wall=%.3fs %s [%s]",
-             ", ".join(block.label for block in blocks),
-             m, first.t_end, sol.nfev, wall_s, termination, meta["solver"])
+    log.info("solved %s: M=%d t_end=%g nfev=%d steps=%d rejected=%d min_step=%.3g "
+             "wall=%.3fs %s [%s]", ", ".join(block.label for block in blocks), m,
+             first.t_end, sol.nfev, counts["steps"], counts["rejected_steps"],
+             counts["min_step"], wall_s, termination, meta["solver"])
 
-    times, y = sol.t, sol.y
-    if times.size == 0 or times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-        y = np.column_stack([y0.ravel(), y])
+    # the samples are the grid's own times, not expm1 of the solver's; a
+    # solve whose first step fails returns no sample, not even t = 0
+    y = sol.y if len(sol.t) else y0.reshape(-1, 1)
+    times = times[:y.shape[1]]
     y = y.reshape(m, -1, times.size).transpose(0, 2, 1)  # (row, sample, coordinate)
     trajs: list[Trajectory] = [None] * m
     for block, rows, c in zip(blocks, slices, coords):
@@ -571,8 +674,8 @@ class _Reflected:
         d = terms.exps[:, i] - terms.exps[:, j]
         coef = 0.5 * d * (terms.rates[:, i] - terms.rates[:, j])
         self.n_terms = n_terms
-        self.z_of_y = np.tile(self.u_of_y @ terms.exps.T, n_pairs + 1)
-        self.z_of_r = np.tile(self.u_of_r @ terms.exps.T, n_pairs + 1)
+        self.z_of_yr = np.tile(np.vstack([self.u_of_y, self.u_of_r]) @ terms.exps.T,
+                               n_pairs + 1)       # z = [y, r] @ z_of_yr
         self.x_of_r = (np.eye(n_pairs)[:, :, None] * -d.T).reshape(n_pairs, -1)
         dw_of_ez = (coef.T[:, :, None] * self.w_of_y.T[:, None, :]).reshape(-1, eye.shape[0])
         self.dy_of_ez = np.vstack([terms.rates @ y_of_u, dw_of_ez])
@@ -589,7 +692,7 @@ class _Reflected:
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """dy/dt at y (one row per row of ``sign``)."""
         r = self.sign * np.exp(y @ self.w_of_y)
-        ez = np.exp(y @ self.z_of_y + r @ self.z_of_r)
+        ez = np.exp(np.concatenate([y, r], axis=1) @ self.z_of_yr)
         x = r @ self.x_of_r
         ez[:, self.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
         return ez @ self.dy_of_ez

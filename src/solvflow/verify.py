@@ -253,18 +253,23 @@ class VerificationReport:
 
 def _run_summary(trajs: Sequence[Trajectory]) -> dict:
     """How the trajectories of one run or batch were solved, from their
-    ``meta``: the solvers, the termination, and ``nfev``, ``wall_s`` and
-    ``batch_size`` summed over their distinct stacked solves, and the worst
-    ``max_drift`` of any row.  The rows of one stacked solve share all of
-    its meta but ``solver``, which names each row's coordinates, and
-    ``max_drift``."""
-    solves = dict.fromkeys((t.termination, t.meta["nfev"], t.meta["wall_s"],
+    ``meta``: the solvers, the termination, ``nfev``, ``steps``,
+    ``rejected_steps``, ``wall_s`` and ``batch_size`` summed over their
+    distinct stacked solves, the smallest step of any of them
+    (``min_step_log_t``), and the worst ``max_drift`` of any row.  The rows
+    of one stacked solve share all of its meta but ``solver``, which names
+    each row's coordinates, and ``max_drift``."""
+    solves = dict.fromkeys((t.termination, t.meta["min_step_log_t"], t.meta["nfev"],
+                            t.meta["steps"], t.meta["rejected_steps"], t.meta["wall_s"],
                             t.meta["batch_size"]) for t in trajs)
-    terminations, nfev, wall_s, batch_size = zip(*solves)
+    terminations, min_steps, nfev, steps, rejected, wall_s, batch_size = zip(*solves)
     return {
         "solver": "; ".join(dict.fromkeys(t.meta["solver"] for t in trajs)),
         "termination": "; ".join(dict.fromkeys(terminations)),
         "nfev": sum(nfev),
+        "steps": sum(steps),
+        "rejected_steps": sum(rejected),
+        "min_step_log_t": min((h for h in min_steps if h is not None), default=None),
         "wall_s": sum(wall_s),
         "batch_size": sum(batch_size),
         "max_drift": max(t.meta["max_drift"] for t in trajs),

@@ -90,13 +90,15 @@ def test_report_tabulates_each_run(report):
     assert set(report.runs) == c4 | set(_RUNS)
     horizons = [t_end for _, _, t_end in _RUNS.values()]
     for key, run in report.runs.items():
-        assert set(run) == {"solver", "nfev", "wall_s", "termination", "batch_size",
-                            "max_drift"}, key
+        assert set(run) == {"solver", "nfev", "steps", "rejected_steps", "min_step_log_t",
+                            "wall_s", "termination", "batch_size", "max_drift"}, key
         assert run["termination"] == "reached_t_end", key
-        assert run["nfev"] > 0 and run["wall_s"] > 0.0, key
+        assert run["nfev"] > 0 and run["steps"] > 0 and run["wall_s"] > 0.0, key
         assert run["batch_size"] == (100 if key in c4 else horizons.count(_RUNS[key][2])), key
-        assert all(math.isfinite(run[k]) for k in ("nfev", "wall_s", "max_drift")), key
-    assert report.runs["c4_D11"]["solver"] == "DOP853 on log g, (B,C) -> (s, log|r|)"
+        assert all(math.isfinite(run[k]) for k in ("nfev", "steps", "rejected_steps",
+                                                   "min_step_log_t", "wall_s", "max_drift")), key
+    assert report.runs["c4_D11"]["solver"] == ("DOP853 on log g in log(1+t), "
+                                               "(B,C) -> (s, log|r|)")
     assert [report.runs[k]["batch_size"] for k in ("d1_case1_1e6", "d2_case1_bern_1e4",
                                                    "d11_case2_10", "d3_selfsim_1e3")] == [6, 2, 2, 1]
     json.dumps(report.as_dict()["runs"], allow_nan=False)

@@ -122,6 +122,12 @@ def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_flow_rtol_below_the_solver_floor_usage_error(tmp_path, capsys):
+    assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "10", "--rtol", "1e-13",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "rel_tol must be at least" in capsys.readouterr().err
+
+
 def no_work(*args, **kwargs):
     raise AssertionError("work started before --out was checked")
 

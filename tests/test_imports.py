@@ -1,5 +1,6 @@
 """The import contract: scipy loads at the first solve, never on import, and
-the solver is called through the module attribute ``flow.solve_ivp``.
+the solver is called through the module attribute ``flow.solve_ivp``, with
+the step method ``flow.RowwiseDOP853``, which is built at the first solve.
 
 Each test runs in a fresh interpreter, because any earlier test in this
 process may already have loaded scipy."""
@@ -61,22 +62,25 @@ logging.getLogger("solvflow.flow").setLevel(logging.DEBUG)
 
 problem = flow.FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 1.0)
 loaded_before = "scipy.integrate" in sys.modules
+built_before = "RowwiseDOP853" in vars(flow)
 flow.integrate(problem)
 import scipy.integrate
 same = flow.solve_ivp is scipy.integrate.solve_ivp
 
 calls = []
 def replacement(*args, **kwargs):
-    calls.append(kwargs["method"])
+    method = kwargs["method"]
+    calls.append([method.__name__, issubclass(method, scipy.integrate.DOP853)])
     return scipy.integrate.solve_ivp(*args, **kwargs)
 flow.solve_ivp = replacement
 traj = flow.integrate(problem)
-print(json.dumps({"loaded_before": loaded_before, "same": same, "calls": calls,
-                  "nfev": traj.meta["nfev"], "records": records}))
+print(json.dumps({"loaded_before": loaded_before, "built_before": built_before,
+                  "same": same, "calls": calls, "nfev": traj.meta["nfev"],
+                  "records": records}))
 """)
-    assert got["loaded_before"] is False
+    assert got["loaded_before"] is False and got["built_before"] is False
     assert got["same"] is True
-    assert got["calls"] == ["DOP853"] and got["nfev"] > 0
+    assert got["calls"] == [["RowwiseDOP853", True]] and got["nfev"] > 0
     levels = [level for level, _ in got["records"]]
     assert levels == ["DEBUG", "INFO", "INFO"]
     assert got["records"][0][1].startswith("loaded scipy.integrate in ")
