@@ -25,6 +25,7 @@ from .curvature import (
     NonpositiveMetricError,
     RicciForm,
     flow_rhs,
+    ricci_forms,
     ricci_quadratic,
     ricci_tensor,
 )
@@ -46,7 +47,9 @@ from .liecore import (
     StructureConstants,
     change_basis,
     jacobi_residual,
+    jacobi_residuals,
     unimodularity_defect,
+    unimodularity_defects,
 )
 
 __version__ = "0.1.0"

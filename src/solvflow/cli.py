@@ -192,7 +192,7 @@ def cmd_check(args) -> int:
     report = run_verification(seed=args.seed, models=models)
     for c in report.criteria:
         status = "PASS" if c.passed else "FAIL"
-        print(f"criterion {c.number:2d} [{status}] {c.title} ({c.elapsed_s:.1f}s)")
+        print(f"criterion {c.number:2d} [{status}] {c.title} ({c.elapsed_s * 1e3:.1f} ms)")
         if not c.passed:
             for item in c.items:
                 if not item.passed:
@@ -205,7 +205,7 @@ def cmd_check(args) -> int:
     if report.discrepancies:
         print(f"{len(report.discrepancies)} superseded claims re-measured "
               "(see 'discrepancies' in the report)")
-    print(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.elapsed_s:.1f}s)")
+    print(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.elapsed_s * 1e3:.1f} ms)")
     return 0 if report.passed else 1
 
 

@@ -14,7 +14,9 @@ only while the off-diagonal components vanish.  Every Ricci entry is a
 finite sum of Laurent monomials in g; :func:`compile_flow` collects them
 once per bracket table, and the flow, its diagonality and its conserved
 monomials are read off that; ``ricci_tensor`` and ``ricci_quadratic`` are
-its oracles.
+its oracles.  :func:`ricci_forms` evaluates the Ricci form of a whole stack
+of metrics with one contraction, and :func:`ricci_tensor` is its stack of
+one.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ __all__ = [
     "DiagonalityViolation",
     "NonpositiveMetricError",
     "ricci_quadratic",
+    "ricci_forms",
     "ricci_tensor",
     # FlowTerms is not listed: perfbench/tracing.py wraps the methods of
     # listed classes, and FlowTerms.log_rhs runs at every solver stage
@@ -80,10 +83,9 @@ class RicciForm:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (5, 5) or not np.allclose(m, m.T, atol=0.0):
+        if m.shape != (5, 5):
             raise ValueError("Ricci form must be a symmetric 5x5 matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("Ricci form entries must be finite")
+        _check_forms(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -98,10 +100,22 @@ class RicciForm:
         return float(np.max(np.abs(off)))
 
 
+def _check_forms(m: np.ndarray) -> None:
+    """Refuse Ricci matrices, stacked on leading axes, that are not exactly
+    symmetric or not finite.  :func:`_ricci_matrix` returns (r + r^T)/2,
+    whose transpose is the same sum with its terms swapped, so exact
+    symmetry is a fact of the formula, not a tolerance."""
+    if not (m == m.swapaxes(-1, -2)).all():
+        raise ValueError("Ricci form must be a symmetric 5x5 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("Ricci form entries must be finite")
+
+
 def _unit_frame_tensor(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """chat[i,j,k] = c[i,j,k] * sqrt(g_k / (g_i g_j))."""
+    """chat[..., i,j,k] = c[i,j,k] * sqrt(g_k / (g_i g_j)) for metric
+    coefficients g of shape (..., n)."""
     s = np.sqrt(g)
-    return c * (s[None, None, :] / (s[:, None, None] * s[None, :, None]))
+    return c * (s[..., None, None, :] / (s[..., :, None, None] * s[..., None, :, None]))
 
 
 def ricci_quadratic(sc: StructureConstants, g: DiagonalMetric, w: np.ndarray) -> float:
@@ -136,29 +150,53 @@ def ricci_quadratic(sc: StructureConstants, g: DiagonalMetric, w: np.ndarray) ->
 
 
 def _ricci_matrix(chat: np.ndarray) -> np.ndarray:
-    """Symmetric matrix R with w.R.w = Ric(W, W); three contractions.
+    """Symmetric matrices R with w.R.w = Ric(W, W), one per leading index of
+    chat; three contractions.
 
     Polarizing the quadratic form gives, term by term,
       term1 -> -1/2 chat[p,i,k] chat[q,i,k]
       term2 -> -1/4 (S + S^T),  S[p,q] = chat[q,i,k] chat[p,k,i]
       term3 -> +1/4 chat[i,j,p] chat[i,j,q]
     """
-    b1 = -0.5 * np.einsum("pik,qik->pq", chat, chat)
-    s = np.einsum("qik,pki->pq", chat, chat)
-    b2 = -0.25 * (s + s.T)
-    b3 = 0.25 * np.einsum("ijp,ijq->pq", chat, chat)
+    b1 = -0.5 * np.einsum("...pik,...qik->...pq", chat, chat)
+    s = np.einsum("...qik,...pki->...pq", chat, chat)
+    b2 = -0.25 * (s + s.swapaxes(-1, -2))
+    b3 = 0.25 * np.einsum("...ijp,...ijq->...pq", chat, chat)
     r = b1 + b2 + b3
-    return 0.5 * (r + r.T)
+    return 0.5 * (r + r.swapaxes(-1, -2))
+
+
+def ricci_forms(sc: StructureConstants, coeffs) -> np.ndarray:
+    """Ricci forms in the orthonormal frame of a stack of diagonal metrics.
+
+    ``coeffs`` is an (N, 5) array of metric coefficients, one metric per
+    row; the result is the read-only (N, 5, 5) array whose row k is
+    ``ricci_tensor(sc, DiagonalMetric(coeffs[k])).entries``.  Raises
+    NonpositiveMetricError if any coefficient is not finite and positive.
+    """
+    g = np.asarray(coeffs, dtype=float)
+    if g.ndim != 2 or g.shape[1] != sc.dim:
+        raise ValueError(f"expected an (N, {sc.dim}) array of metric coefficients, "
+                         f"got shape {g.shape}")
+    ok = (g > 0.0) & (g < np.inf)  # False for NaN too
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=1)))
+        raise NonpositiveMetricError(
+            f"metric coefficients must be positive: row {k} is {tuple(g[k].tolist())}")
+    m = _ricci_matrix(_unit_frame_tensor(sc.c, g))
+    _check_forms(m)
+    m.flags.writeable = False
+    return m
 
 
 def ricci_tensor(sc: StructureConstants, g: DiagonalMetric) -> RicciForm:
-    """Full Ricci form in the orthonormal frame.
+    """Full Ricci form in the orthonormal frame: :func:`ricci_forms` of the
+    stack of one.
 
     Diagonal entries equal ricci_quadratic(Yhat_i); off-diagonal entries are
     the polarization (Q(Yhat_i+Yhat_j) - Q(Yhat_i) - Q(Yhat_j))/2.
     """
-    chat = _unit_frame_tensor(sc.c, g.array)
-    return RicciForm(_ricci_matrix(chat))
+    return RicciForm(ricci_forms(sc, g.array[None])[0])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ __all__ = [
     "StructureConstants",
     "BasisChange",
     "jacobi_residual",
+    "jacobi_residuals",
     "unimodularity_defect",
+    "unimodularity_defects",
     "change_basis",
 ]
 
@@ -124,22 +126,44 @@ class BasisChange:
         return BasisChange(inv)
 
 
-def jacobi_residual(sc: StructureConstants) -> float:
-    """Max component of the Jacobi cyclic sum over all index triples.
+def _jacobi_defects(c: np.ndarray) -> np.ndarray:
+    """Max |Jacobi cyclic sum| of each tensor stacked on the leading axes of c.
 
     [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] has k-component
     T[i,j,l,k] + T[j,l,i,k] + T[l,i,j,k] with T[i,j,l,k] = c[i,j,m] c[m,l,k];
     zero for a genuine Lie algebra.
     """
-    t = np.einsum("ijm,mlk->ijlk", sc.c, sc.c)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(cyc)))
+    t = np.einsum("...ijm,...mlk->...ijlk", c, c)
+    # the two cyclic index permutations of the last four axes, as views
+    cyc = t + t.swapaxes(-4, -3).swapaxes(-3, -2) + t.swapaxes(-4, -2).swapaxes(-3, -2)
+    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
+
+
+def _trace_defects(c: np.ndarray) -> np.ndarray:
+    """max_j |sum_i c[j,i,i]| of each tensor stacked on the leading axes of c."""
+    return np.abs(np.einsum("...jii->...j", c)).max(axis=-1)
+
+
+def jacobi_residual(sc: StructureConstants) -> float:
+    """Max component of the Jacobi cyclic sum over all index triples; zero
+    for a genuine Lie algebra."""
+    return float(_jacobi_defects(sc.c))
+
+
+def jacobi_residuals(tables: Sequence[StructureConstants]) -> np.ndarray:
+    """:func:`jacobi_residual` of each table, from one contraction over the
+    stack of tables (all of one dimension)."""
+    return _jacobi_defects(np.array([sc.c for sc in tables]))
 
 
 def unimodularity_defect(sc: StructureConstants) -> float:
     """max_j |tr ad_{e_j}| = max_j |sum_i c[j,i,i]|; zero iff unimodular."""
-    traces = np.einsum("jii->j", sc.c)
-    return float(np.max(np.abs(traces)))
+    return float(_trace_defects(sc.c))
+
+
+def unimodularity_defects(tables: Sequence[StructureConstants]) -> np.ndarray:
+    """:func:`unimodularity_defect` of each table, over the stack of tables."""
+    return _trace_defects(np.array([sc.c for sc in tables]))
 
 
 def change_basis(sc: StructureConstants, t: BasisChange) -> StructureConstants:

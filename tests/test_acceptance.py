@@ -30,7 +30,8 @@ def report():
 
 def _emit(result):
     status = "PASS" if result.passed else "FAIL"
-    line = f"criterion {result.number:2d} [{status}] {result.title} ({result.elapsed_s:.1f}s)"
+    line = (f"criterion {result.number:2d} [{status}] {result.title} "
+            f"({result.elapsed_s * 1e3:.1f} ms)")
     print(line)
     return line
 

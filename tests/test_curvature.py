@@ -10,9 +10,11 @@ from solvflow.curvature import (
     DiagonalityViolation,
     DiagonalMetric,
     NonpositiveMetricError,
+    RicciForm,
     _unit_frame_tensor,
     compile_flow,
     flow_rhs,
+    ricci_forms,
     ricci_quadratic,
     ricci_tensor,
 )
@@ -167,6 +169,60 @@ class TestRicciTensor:
         e2[0, 2, 1], e2[2, 0, 1] = 1.0, -1.0
         e2[1, 2, 0], e2[2, 1, 0] = -1.0, 1.0
         assert np.max(np.abs(ricci_brute_force(e2))) == 0.0
+
+
+class TestRicciForms:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelId)),
+        a=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+        eps=st.sampled_from([1.0, -1.0]),
+        n=st.sampled_from([1, 2, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_ricci_tensor_bitwise(self, model, a, eps, n, seed):
+        sc = build_model(model, catalog.params_from_basis_change(model, a, eps=eps))
+        G = np.exp(np.random.default_rng(seed).uniform(-2.3, 2.3, (n, 5)))
+        forms = ricci_forms(sc, G)
+        assert forms.shape == (n, 5, 5)
+        for g, form in zip(G, forms):
+            single = ricci_tensor(sc, DiagonalMetric(tuple(g))).entries
+            assert np.array_equal(form, single)
+            assert np.array_equal(np.signbit(form), np.signbit(single))
+
+    def test_result_is_read_only(self):
+        forms = ricci_forms(constrained(ModelId.D2), np.ones((3, 5)))
+        with pytest.raises(ValueError):
+            forms[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_one_bad_row_refuses_the_stack(self, bad):
+        G = np.exp(np.random.default_rng(8).uniform(-1, 1, (4, 5)))
+        G[2, 3] = bad
+        with pytest.raises(NonpositiveMetricError, match="row 2"):
+            ricci_forms(constrained(ModelId.D3), G)
+
+    def test_shape_is_checked(self):
+        sc = constrained(ModelId.D1)
+        for shape in ((5,), (3, 4), (2, 3, 5)):
+            with pytest.raises(ValueError, match="metric coefficients"):
+                ricci_forms(sc, np.ones(shape))
+
+
+class TestRicciFormSymmetry:
+    def test_one_ulp_off_symmetric_is_refused(self):
+        m = ricci_tensor(constrained(ModelId.D11), DiagonalMetric((1.0, 2.0, 1.3, 0.7, 1.1))).entries
+        bent = m.copy()
+        bent[1, 2] = np.nextafter(m[1, 2], np.inf)
+        with pytest.raises(ValueError, match="symmetric"):
+            RicciForm(bent)
+        assert np.array_equal(RicciForm(m).entries, m)
+
+    def test_non_finite_is_refused(self):
+        m = np.eye(5)
+        m[4, 4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            RicciForm(m)
 
 
 class TestFlowRhs:

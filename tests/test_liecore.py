@@ -8,7 +8,9 @@ from solvflow.liecore import (
     StructureConstants,
     change_basis,
     jacobi_residual,
+    jacobi_residuals,
     unimodularity_defect,
+    unimodularity_defects,
 )
 
 
@@ -105,6 +107,40 @@ class TestUnimodularity:
         # [X1,X2] = X1 in dimension 5: tr ad_{X2} = -1
         sc = StructureConstants.from_brackets(5, {(0, 1, 0): 1.0})
         assert unimodularity_defect(sc) == pytest.approx(1.0)
+
+
+class TestStackedDefects:
+    @staticmethod
+    def tables():
+        # catalog draws, which are Lie algebras, and random antisymmetric
+        # tensors, whose defects are far from zero
+        rng = np.random.default_rng(9)
+        out = []
+        for k in range(40):
+            model = list(ModelId)[k % 5]
+            out.append(build_model(model, params_from_basis_change(
+                model, rng.uniform(-2, 2, 10), eps=float(rng.choice((-1.0, 1.0))))))
+            c = rng.normal(size=(5, 5, 5))
+            out.append(StructureConstants(c - c.swapaxes(0, 1)))
+        return out
+
+    def test_jacobi_residuals_are_the_single_values_bitwise(self):
+        tables = self.tables()
+        single = [jacobi_residual(sc) for sc in tables]
+        assert np.array_equal(jacobi_residuals(tables), single)
+        assert max(single) > 1.0
+
+    def test_jacobi_residual_is_the_plain_cyclic_sum(self):
+        for sc in self.tables():
+            t = np.einsum("ijm,mlk->ijlk", sc.c, sc.c)
+            cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+            assert jacobi_residual(sc) == float(np.max(np.abs(cyc)))
+
+    def test_unimodularity_defects_are_the_single_values_bitwise(self):
+        tables = self.tables()
+        single = [unimodularity_defect(sc) for sc in tables]
+        assert np.array_equal(unimodularity_defects(tables), single)
+        assert max(single) > 1.0
 
 
 class TestBasisChange:
