@@ -52,7 +52,12 @@ r, so r = 0 is invariant and no solution crosses it.
     each).
   * A moving swap that shares a coordinate with another one (su(2) + R^2:
     A, B and C) keeps plain coordinates, and so does a row that starts with
-    r = 0, where r = 0 holds exactly.
+    r = 0, where r = 0 holds exactly.  Such a tied row takes the rate
+    column of u_i for u_j too, since its own column, summing the swapped
+    terms in another order, can differ by an ulp, which the stiff r mode
+    then amplifies; u_j is sampled as u_i, so B = C to the last bit.  Stacked
+    beside D1, D2 and D3 rows to t = 1e6, a D11 row with B = C once took
+    90,440 evaluations and reached B = 751, C = 2.9 (1,064 with the tie).
 Before this, stiff solvers were tried in plain coordinates, and each missed
 a verification gate or the time budget: LSODA with the analytic Jacobian
 and BDF leave D5's E(t) - (4t+1) at 2.6e-10 and 4.5e-9 against the 1e-10
@@ -60,27 +65,27 @@ gate of criterion 3 (DOP853: 3.5e-11), and Radau passes but made
 ``solvflow check`` take 97 s when it took about 5 s with DOP853 (2 cores,
 before criterion 4's runs were stacked).
 
-Problems that share ``t_end``, tolerances and sampling grid are solved
-together (:func:`integrate_many`), whatever their model, parameters and
-initial data: the M rows are stacked into one system of 5M components, so
-scipy's per-step overhead, which is about the same at any width, is paid
-once for all of them, and :func:`integrate` is the batch of one.  Each
-distinct (model, parameters) table is compiled once, and its rows form one
-block per set of pairs they take reflected.  The right-hand side fills
-each block's slice: a reflected block through its own coordinates, and the
-plain rows of several blocks through one product with the union of their
-tables, where the logs of the other tables' terms are -inf in each row, so
-those terms add exactly 0.  A batch of one block uses that block's
-right-hand side alone, as a single run does.  The step control holds each
-row to its own tolerance: ``RowwiseDOP853`` takes DOP853's error norm of
-every row on its own and accepts a step when the largest is below 1, so a
-row's steps are at least as fine as its own run would take, whatever the
-other rows do.  The solver runs at a tenth of the problem's rel_tol and
-abs_tol, the divisor that keeps runs in tau at least as accurate as they
-were in t.  Worst |delta log g| of criterion 4's seed-0 draws to t = 1e4
-against a DOP853 solve in t at rtol 2.3e-14 and atol 1e-17 (for generic
-D11, a Radau solve in plain coordinates at rtol 1e-13), for D1, D2, D3, D5
-and D11:
+Any problems are solved together (:func:`integrate_many`): the M rows are
+stacked into one system of 5M components, so scipy's per-step overhead,
+which is about the same at any width, is paid once for all of them, and
+:func:`integrate` is the batch of one.  The solve runs to the largest
+``t_end`` over the union of the rows' sample grids, and each row keeps its
+own grid.  Each distinct (model, parameters) table is compiled once, and
+its rows form one block per set of pairs they take reflected or tied.  The
+right-hand side fills each block's slice: a reflected block through its
+own coordinates, and the plain rows of several blocks through one product
+with the union of their tables, where the logs of the other tables' terms
+are -inf in each row, so those terms add exactly 0.  A batch of one block
+uses that block's right-hand side alone, as a single run does.  The step
+control holds each row to its own tolerance: ``RowwiseDOP853`` takes
+DOP853's error norm of every row on its own and accepts a step when the
+largest is below 1, so a row's steps are at least as fine as its own run
+would take, whatever the other rows do.  The solver runs at a tenth of
+each row's own rel_tol and abs_tol, the divisor that keeps runs in tau at
+least as accurate as they were in t.  Worst |delta log g| of criterion 4's
+seed-0 draws to t = 1e4 against a DOP853 solve in t at rtol 2.3e-14 and
+atol 1e-17 (for generic D11, a Radau solve in plain coordinates at rtol
+1e-13), for D1, D2, D3, D5 and D11:
 
   solve                                 D1       D2       D3       D5       D11
   in t, RMS norm at tol/sqrt(M), batch  1.1e-12  1.3e-12  1.6e-12  2.2e-12  2.9e-12
@@ -94,9 +99,10 @@ the tenth.  With an RMS norm over all rows at tolerances divided by
 sqrt(M), one D2 row of the batch lies 1.44 times as far from the reference
 as its own run, at any divisor from 1 to 30; with the row-wise norm every
 row lies at most 0.66 times as far (D11, 0.61; the D11 figures are set by
-the Radau reference).  ``solvflow check`` solves its 111 rows in 6 solves.
-Each solve's ``meta`` records its accepted and rejected steps and its
-smallest step in tau.
+the Radau reference).  ``solvflow check`` solves its 111 catalog rows in
+one solve of 1,421 evaluations (4,597 in one solve per horizon).  Each
+solve's ``meta`` records its accepted and rejected steps and its smallest
+step in tau.
 """
 from __future__ import annotations
 
@@ -207,8 +213,8 @@ class FlowProblem:
     ``abs_tol`` bound the error in log g, i.e. the relative error in g.
     They bound the local error of each step, for each row on its own: the
     solver accepts a step only when every row's DOP853 error estimate is
-    within ``rel_tol/10`` and ``abs_tol/10``, whatever rows it is stacked
-    with.  The global error that leaves is measured, not bounded: in the
+    within a tenth of that row's own ``rel_tol`` and ``abs_tol``, whatever
+    rows it is stacked with and whatever their tolerances and ``t_end``.  The global error that leaves is measured, not bounded: in the
     module docstring's table it is below that of a DOP853 run in t at
     ``rel_tol`` and ``abs_tol``.  ``rel_tol`` must be at least 10 times
     scipy's floor of 100 machine epsilons (about 2.2e-13), to which scipy
@@ -258,8 +264,8 @@ class Trajectory:
     ``meta`` says how the run was produced: the problem's tolerances, the
     solver and the coordinates it solved in (``solver``, for instance
     ``DOP853 on log g in log(1+t), (B,C) -> (s, log|r|)``), the number of
-    rows solved together (``batch_size``), the tolerances the solver was
-    given, and of that solve ``nfev``, the accepted and rejected steps
+    rows solved together (``batch_size``), the tolerances the solver held
+    this row to, and of that solve ``nfev``, the accepted and rejected steps
     (``steps``, ``rejected_steps``), the smallest accepted step in
     log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  For a
     catalog model it also
@@ -413,20 +419,19 @@ def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Tra
 
 def integrate_many(problems: Sequence[FlowProblem],
                    sc: StructureConstants | None = None) -> list[Trajectory]:
-    """Integrate problems that share ``t_end``, tolerances and sampling grid
-    as one stacked system, and return one trajectory per problem, in order.
+    """Integrate any problems as one stacked system to their largest
+    ``t_end``, and return one trajectory per problem, in order.
 
-    Their model, parameters and initial data may differ.  Each distinct
-    (model, parameters) table is checked and compiled once, and its rows
-    are split into blocks by the pairs they take reflected (see the module
-    docstring); the solver's right-hand side fills each block's slice.
-    Each trajectory's ``meta["solver"]`` names its own row's coordinates,
-    and ``meta["batch_size"]`` and ``meta["nfev"]`` are those of the
-    stacked solve.  Explicit brackets ``sc`` are one table, so their rows
-    must share the model and parameters.  A finite-time collapse of one
-    row stops the shared step, so the rows of a stacked solve that ends in
-    a step failure are repeated one at a time, and every row ends where its
-    own run would.
+    Each distinct (model, parameters) table is checked and compiled once,
+    and its rows are split into blocks by the pairs they take reflected or
+    tied (see the module docstring).  Each trajectory has exactly its own
+    problem's sample times; its ``meta`` gives its own tolerances, ``t_end``
+    and, in ``solver``, coordinates, and the stacked solve's ``batch_size``,
+    ``nfev`` and step counts.  Explicit brackets ``sc`` are one table, so
+    their rows must share the model and parameters.  A finite-time collapse
+    of one row stops the shared step, so the rows that a stacked solve left
+    short of their own ``t_end`` are repeated one at a time, and every row
+    ends where its own run would.
     """
     problems = list(problems)
     trajs = _integrate_batch(problems, sc)
@@ -456,10 +461,9 @@ def _invariant_swaps(terms: FlowTerms) -> tuple[list[tuple[int, int]], list[tupl
     return conserving, moving
 
 
-def _reflected_pairs(terms: FlowTerms) -> list[tuple[int, int]]:
+def _reflected_pairs(moving: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The moving swaps that share no coordinate with another moving swap:
     each gets the coordinates (s, log|r|) of the module docstring."""
-    _, moving = _invariant_swaps(terms)
     return [pair for pair in moving
             if all(set(pair).isdisjoint(other) for other in moving if other != pair)]
 
@@ -474,6 +478,7 @@ class _Block:
     terms: FlowTerms
     pairs: tuple[tuple[int, int], ...]
     rows: list[int] = field(default_factory=list)
+    ties: tuple[tuple[int, int], ...] = ()  # moving pairs with u_i = u_j
 
     @property
     def reflections(self) -> list[str]:
@@ -488,7 +493,7 @@ class _Block:
 
 def _compile(model: ModelId | None, params, sc: StructureConstants | None):
     """The checked term table of one model and parameter set (or of
-    ``sc``), and the pairs its rows may take reflected."""
+    ``sc``), its moving swaps, and the pairs its rows may take reflected."""
     if sc is None:
         if model is None:
             raise ValueError("need either a catalog model or explicit brackets")
@@ -498,7 +503,8 @@ def _compile(model: ModelId | None, params, sc: StructureConstants | None):
         raise ValueError(f"brackets violate the Jacobi identity (residual {res:.3e})")
     terms = compile_flow(sc)
     terms.check_diagonal()
-    return terms, _reflected_pairs(terms)
+    _, moving = _invariant_swaps(terms)
+    return terms, moving, _reflected_pairs(moving)
 
 
 def _integrate_batch(problems: list[FlowProblem],
@@ -507,12 +513,6 @@ def _integrate_batch(problems: list[FlowProblem],
     rows into blocks, and solve all blocks as one stacked DOP853 system."""
     if not problems:
         raise ValueError("need at least one flow problem")
-    first = problems[0]
-    controls = replace(first, model=None, params=None)
-    if any(replace(p, model=None, params=None, initial=first.initial) != controls
-           for p in problems):
-        raise ValueError("problems solved together may differ only in their model, "
-                         "parameters and initial data")
     lam = np.array([p.initial.array for p in problems])
     u0 = np.log(lam)
     tables: dict = {}
@@ -525,27 +525,42 @@ def _integrate_batch(problems: list[FlowProblem],
                 raise ValueError("rows solved with explicit brackets must share "
                                  "their model and parameters")
             tables[table] = _compile(p.model, params, sc)
-        terms, pairs = tables[table]
-        # a row with u_i = u_j at the start keeps u_i = u_j exactly: no reflection
-        kind = tuple(pair for pair in pairs if u0[k, pair[0]] != u0[k, pair[1]])
-        if (table, kind) not in blocks:
-            blocks[table, kind] = _Block(p.model, params, terms, kind)
-        blocks[table, kind].rows.append(k)
-    return _solve(first, list(blocks.values()), lam, u0)
+        terms, moving, pairs = tables[table]
+        # a row with u_i = u_j at the start keeps u_i = u_j exactly: no
+        # reflection, and the rates of u_j are those of u_i
+        ties = tuple(pair for pair in moving if u0[k, pair[0]] == u0[k, pair[1]])
+        kind = tuple(pair for pair in pairs if pair not in ties)
+        if (table, kind, ties) not in blocks:
+            blocks[table, kind, ties] = _Block(p.model, params, _tied(terms, ties), kind,
+                                               ties=ties)
+        blocks[table, kind, ties].rows.append(k)
+    return _solve(problems, list(blocks.values()), lam, u0)
 
 
-def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
+def _tied(terms: FlowTerms, ties) -> FlowTerms:
+    """``terms`` with the rate column of u_j replaced by that of u_i for
+    each tied pair (i, j).  On u_i = u_j the two columns give the same rate,
+    but summed in different orders they can differ by an ulp, and u_i - u_j
+    is the stiff mode of the module docstring."""
+    if not ties:
+        return terms
+    rates = terms.rates.copy()
+    for i, j in ties:
+        rates[:, j] = rates[:, i]
+    return replace(terms, rates=rates)
+
+
+def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
            u0: np.ndarray) -> list[Trajectory]:
     """One DOP853 solve in log(1+t) of the M rows' stacked coordinates,
-    block after block, each row held to a tenth of the problem's tolerances:
-    log g itself, or with each of a block's pairs reflected (see the module
-    docstring)."""
-    m = len(lam)
-    times = _sample_times(first.t_end, first.samples_per_decade, first.linear_samples)
-    rtol = first.rel_tol / _TOL_DIVISOR
-    atol = first.abs_tol / _TOL_DIVISOR
+    block after block, to the largest ``t_end``, each row held to a tenth
+    of its own problem's tolerances: log g itself, or with each of a block's
+    pairs reflected (see the module docstring).  The solver samples the
+    union of the rows' grids, and each row keeps exactly its own grid."""
+    m, n = u0.shape
     # plain blocks first, so that several of them share one product
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
+    stacked = [k for block in blocks for k in block.rows]
     bounds = [0, *accumulate(len(block.rows) for block in blocks)]
     slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) if b.pairs else None for b in blocks]
@@ -570,6 +585,10 @@ def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
                 dy[rows] = piece_rhs(y[rows])
             return math.exp(tau) * dy.ravel()
 
+    row_grids = [(p.t_end, p.samples_per_decade, p.linear_samples) for p in problems]
+    grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
+    times = np.unique(np.concatenate(list(grids.values())))
+    horizons = sorted({t_end for t_end, _, _ in grids})
     # module attributes, which load scipy at first use (outside the timed
     # solve) and which a tracer or test may have replaced
     module = sys.modules[__name__]
@@ -578,52 +597,58 @@ def _solve(first: FlowProblem, blocks: list[_Block], lam: np.ndarray,
     start = perf_counter()
     sol = solve_ivp(
         rhs,
-        (0.0, math.log1p(first.t_end)),
+        (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
         t_eval=np.log1p(times),
-        rtol=rtol,
-        atol=atol,
+        rtol=np.repeat([problems[k].rel_tol / _TOL_DIVISOR for k in stacked], n),
+        atol=np.repeat([problems[k].abs_tol / _TOL_DIVISOR for k in stacked], n),
         rows=m,
         counts=counts,
     )
     wall_s = perf_counter() - start
-    meta = {"t_end": first.t_end, "rel_tol": first.rel_tol, "abs_tol": first.abs_tol,
-            "solver": "DOP853 on log g in log(1+t)", "batch_size": m, "solver_rtol": rtol,
-            "solver_atol": atol, "nfev": int(sol.nfev), "steps": counts["steps"],
-            "rejected_steps": counts["rejected_steps"],
+    meta = {"solver": "DOP853 on log g in log(1+t)", "batch_size": m, "nfev": int(sol.nfev),
+            "steps": counts["steps"], "rejected_steps": counts["rejected_steps"],
             "min_step_log_t": counts["min_step"] if counts["steps"] else None,
             "wall_s": wall_s}
-    termination = TERM_REACHED
-    if sol.status == -1:
-        termination = TERM_STEP_FAILURE
-        meta["solver_message"] = sol.message
-    log.info("solved %s: M=%d t_end=%g nfev=%d steps=%d rejected=%d min_step=%.3g "
+    log.info("solved %s: M=%d t_end=%s nfev=%d steps=%d rejected=%d min_step=%.3g "
              "wall=%.3fs %s [%s]", ", ".join(block.label for block in blocks), m,
-             first.t_end, sol.nfev, counts["steps"], counts["rejected_steps"],
-             counts["min_step"], wall_s, termination, meta["solver"])
+             ",".join(f"{t:g}" for t in horizons), sol.nfev, counts["steps"],
+             counts["rejected_steps"], counts["min_step"], wall_s,
+             TERM_STEP_FAILURE if sol.status == -1 else TERM_REACHED, meta["solver"])
 
-    # the samples are the grid's own times, not expm1 of the solver's; a
+    # the samples are the grids' own times, not expm1 of the solver's; a
     # solve whose first step fails returns no sample, not even t = 0
     y = sol.y if len(sol.t) else y0.reshape(-1, 1)
-    times = times[:y.shape[1]]
-    y = y.reshape(m, -1, times.size).transpose(0, 2, 1)  # (row, sample, coordinate)
+    sampled = times[:y.shape[1]]
+    y = y.reshape(m, n, -1).transpose(0, 2, 1)  # (row, sample, coordinate)
+    # each grid's samples among those the solver reached
+    picks = {g: np.isin(sampled, grid) for g, grid in grids.items()}
     trajs: list[Trajectory] = [None] * m
     for block, rows, c in zip(blocks, slices, coords):
         u = y[rows] if c is None else c.log_g(y[rows], c.sign[:, None, :])
+        for i, j in block.ties:
+            u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
         monos = () if block.model is None else catalog.model_invariants(block.model).monomials
         for k, u_row in zip(block.rows, u):
-            coeffs = np.exp(u_row)
+            p, pick = problems[k], picks[row_grids[k]]
+            coeffs = np.exp(u_row[pick])
             coeffs[0] = lam[k]  # exp(log(lam)) can be an ulp off the initial data
+            reached = len(coeffs) == len(grids[row_grids[k]])
+            row_meta = {"t_end": p.t_end, "rel_tol": p.rel_tol, "abs_tol": p.abs_tol,
+                        **block_meta, "solver_rtol": p.rel_tol / _TOL_DIVISOR,
+                        "solver_atol": p.abs_tol / _TOL_DIVISOR,
+                        "max_drift": max((mo.drift(coeffs) for mo in monos), default=0.0)}
+            if not reached:
+                row_meta["solver_message"] = sol.message
             trajs[k] = Trajectory(
-                times=times,
+                times=sampled[pick],
                 coeffs=coeffs,
-                termination=termination,
+                termination=TERM_REACHED if reached else TERM_STEP_FAILURE,
                 model=block.model,
                 params=block.params,
-                meta=dict(block_meta,
-                          max_drift=max((mo.drift(coeffs) for mo in monos), default=0.0)),
+                meta=row_meta,
             )
     return trajs
 

@@ -16,11 +16,11 @@ Heisenberg-type long-time exponents.
 
 The canonical flow runs that criteria 3 and 5-9 read are declared per
 criterion (``_CRITERION_RUNS``).  :meth:`VerifySession.run_all` solves the
-runs of the selected criteria and models before the criteria start, with
-one stacked solve per horizon (:func:`solvflow.flow.integrate_many`), so
-their time appears in the report's ``runs[...]["wall_s"]`` and not in any
-criterion's ``elapsed_s``.  Criterion 4 solves its own draws, all models'
-in one batch, inside its own time.
+runs of the selected criteria and models, and criterion 4's draws if it is
+selected, before the criteria start, in one stacked solve
+(:func:`solvflow.flow.integrate_many`), so their time appears in the
+report's ``runs[...]["wall_s"]`` and not in any criterion's ``elapsed_s``.
+Criterion 4 only reads its batch of that solve.
 
 Criteria 1, 2 and 10 evaluate their random draws as stacks: one
 :func:`~solvflow.curvature.ricci_forms` call per model for the Ricci forms,
@@ -365,16 +365,6 @@ class VerifySession:
             self._cache[key] = integrate(_run_problem(key))
         return self._cache[key]
 
-    def _solve_runs(self, keys: Iterable[str]) -> None:
-        """Solve the keys not yet solved with one stacked solve per horizon
-        (all _RUNS share their tolerances and sampling)."""
-        by_horizon: dict[float, list[str]] = {}
-        for key in keys:
-            if key not in self._cache:
-                by_horizon.setdefault(_RUNS[key][2], []).append(key)
-        for group in by_horizon.values():
-            self._cache.update(zip(group, integrate_many([_run_problem(k) for k in group])))
-
     def _note_discrepancy(self, d: Discrepancy):
         if all(x.subject != d.subject for x in self.discrepancies):
             self.discrepancies.append(d)
@@ -443,14 +433,10 @@ class VerifySession:
 
 
     def criterion_4(self) -> list[CheckItem]:
-        rng = self._rng(4)
-        problems = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
-                    for model in self.models for _ in range(20)]
-        solved = integrate_many(problems)
         items = []
-        for k, model in enumerate(self.models):
+        for model in self.models:
             inv = catalog.model_invariants(model)
-            trajs = self._batches[f"c4_{model.value}"] = solved[20 * k:20 * (k + 1)]
+            trajs = self._batches[f"c4_{model.value}"]
             worst = max((drift_report(traj, mono) for traj in trajs
                          for mono in inv.monomials), default=0.0)
             items.append(CheckItem(f"{model.value} invariant drift over 20 runs to 1e4",
@@ -692,13 +678,26 @@ class VerifySession:
 
     def run_all(self, numbers: Iterable[int] | None = None) -> VerificationReport:
         """Run the selected criteria (all by default).  The runs they
-        declare in ``_CRITERION_RUNS`` are solved first, one stacked solve
-        per horizon, outside every criterion's ``elapsed_s``."""
+        declare in ``_CRITERION_RUNS`` and criterion 4's draws are solved
+        first, as one stacked solve, outside every criterion's
+        ``elapsed_s``."""
         numbers = sorted(numbers) if numbers else sorted(CRITERION_TITLES)
         t_start = time.perf_counter()
         wanted = {key for n in numbers for key in _CRITERION_RUNS.get(n, ())}
-        self._solve_runs(key for key in _RUNS
-                        if key in wanted and _RUNS[key][0] in self.models)
+        keys = [key for key in _RUNS if key in wanted and _RUNS[key][0] in self.models
+                and key not in self._cache]
+        draws = []
+        if 4 in numbers:  # criterion 4's 20 initial data per model
+            rng = self._rng(4)
+            draws = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
+                     for model in self.models for _ in range(20)]
+        if keys or draws:
+            solved = integrate_many([*map(_run_problem, keys), *draws])
+            self._cache.update(zip(keys, solved))
+            if draws:
+                batches = solved[len(keys):]
+                self._batches.update((f"c4_{model.value}", batches[20 * k:20 * (k + 1)])
+                                     for k, model in enumerate(self.models))
         results = []
         for n in numbers:
             fn: Callable[[], list[CheckItem]] = getattr(self, f"criterion_{n}")

@@ -16,7 +16,7 @@ import pytest
 from solvflow import verify
 from solvflow.asymptotics import fit_power_law
 from solvflow.catalog import InitialData, ModelId
-from solvflow.flow import FlowProblem, Trajectory, integrate
+from solvflow.flow import FlowProblem, Trajectory, integrate, integrate_many
 from solvflow.verify import _CRITERION_RUNS, _RUNS, CRITERION_TITLES, VerifySession
 
 RUNTIME_BUDGETS = {1: 1.0, 4: 30.0, 5: 120.0}
@@ -86,22 +86,20 @@ def test_d11_order_gated_over_the_long_run(report):
 
 
 def test_report_tabulates_each_run(report):
-    # the runs of one horizon share a stacked solve, and so do criterion 4's
+    # the canonical runs and criterion 4's draws share one stacked solve
     c4 = {f"c4_{model.value}" for model in ModelId}
     assert set(report.runs) == c4 | set(_RUNS)
-    horizons = [t_end for _, _, t_end in _RUNS.values()]
     for key, run in report.runs.items():
         assert set(run) == {"solver", "nfev", "steps", "rejected_steps", "min_step_log_t",
                             "wall_s", "termination", "batch_size", "max_drift"}, key
         assert run["termination"] == "reached_t_end", key
         assert run["nfev"] > 0 and run["steps"] > 0 and run["wall_s"] > 0.0, key
-        assert run["batch_size"] == (100 if key in c4 else horizons.count(_RUNS[key][2])), key
+        assert run["batch_size"] == len(_RUNS) + 100 == 111, key
         assert all(math.isfinite(run[k]) for k in ("nfev", "steps", "rejected_steps",
                                                    "min_step_log_t", "wall_s", "max_drift")), key
+    assert len({(run["nfev"], run["steps"], run["wall_s"]) for run in report.runs.values()}) == 1
     assert report.runs["c4_D11"]["solver"] == ("DOP853 on log g in log(1+t), "
                                                "(B,C) -> (s, log|r|)")
-    assert [report.runs[k]["batch_size"] for k in ("d1_case1_1e6", "d2_case1_bern_1e4",
-                                                   "d11_case2_10", "d3_selfsim_1e3")] == [6, 2, 2, 1]
     json.dumps(report.as_dict()["runs"], allow_nan=False)
 
 
@@ -113,18 +111,27 @@ def test_every_run_is_declared_by_a_criterion():
 
 @pytest.mark.parametrize("number", sorted(CRITERION_TITLES))
 def test_criterion_solves_exactly_its_declared_runs(monkeypatch, number):
-    # run_all solves the declared runs up front, so no criterion falls back
-    # to a lazy solve of its own
+    # run_all solves the declared runs and criterion 4's draws up front, in
+    # one stacked solve, so no criterion falls back to a solve of its own
     def no_lazy_solve(problem, sc=None):
         raise AssertionError(f"lazy solve of {problem}")
 
+    solves = []
+
+    def counted(problems, sc=None):
+        solves.append(len(problems))
+        return integrate_many(problems, sc)
+
     monkeypatch.setattr(verify, "integrate", no_lazy_solve)
+    monkeypatch.setattr(verify, "integrate_many", counted)
     session = VerifySession(seed=0)
     report = session.run_all([number])
     assert report.criteria[0].passed
     declared = set(_CRITERION_RUNS.get(number, ()))
     assert set(session._cache) == declared
     assert set(report.runs) - set(session._batches) == declared
+    draws = 100 if number == 4 else 0
+    assert solves == ([len(declared) + draws] if declared or draws else [])
 
 
 def test_runs_of_unselected_models_are_not_solved():

@@ -21,7 +21,7 @@ from solvflow.flow import (
     integrate_many,
 )
 from solvflow.liecore import StructureConstants
-from solvflow.verify import _RUNS, VerifySession, _run_problem, _run_summary
+from solvflow.verify import _CRITERION_RUNS, _RUNS, VerifySession, _run_problem, _run_summary
 
 
 def run(model, lam, t_end, **kw):
@@ -72,7 +72,7 @@ def t_solve(terms, problem, times, reflect=False):
     to log(1 + t).  Plain coordinates, or, if ``reflect``, the pairs the run
     takes reflected."""
     u0 = np.log(problem.initial.array)[None]
-    pairs = tuple(pair for pair in flow._reflected_pairs(terms)
+    pairs = tuple(pair for pair in flow._reflected_pairs(flow._invariant_swaps(terms)[1])
                   if reflect and u0[0, pair[0]] != u0[0, pair[1]])
     coords = flow._Reflected(terms, pairs, u0) if pairs else None
     rhs, y0 = (terms.log_rhs, u0) if coords is None else (coords.rhs, coords.y0)
@@ -370,9 +370,10 @@ class TestIntegrateMany:
             assert deviation(row, ref) <= float(np.max(np.abs(in_t - ref)))
 
     def test_check_runs_as_accurate_as_the_solve_in_t(self):
-        # the canonical runs, stacked per horizon as the check solves them
+        # the canonical runs, stacked with criterion 4's draws as the check
+        # solves them
         session = VerifySession(seed=0)
-        session._solve_runs(_RUNS)
+        session.run_all()
         # the reflected runs (d11_case2_10 and d11_case2_1e4) share their
         # initial datum, so one Radau solve over the union of their samples
         # serves both
@@ -499,20 +500,71 @@ class TestIntegrateMany:
         {"linear_samples": 17},
     ])
     def test_problems_differing_beyond_initial_data_raise(self, monkeypatch, change):
-        # rows may differ in model and parameters, except under explicit
-        # brackets: those are one table, which cannot serve two models
-        monkeypatch.setattr(flow, "solve_ivp", no_solver)
+        # only explicit brackets refuse rows that differ: they are one table,
+        # which cannot serve two models.  Rows that differ in horizon,
+        # tolerances or sampling share one solve, and each keeps its own
+        # grid and tolerances
         sc = catalog.build_model(ModelId.D5, catalog.constrained_params(ModelId.D5))
         first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
         other = dataclasses.replace(first, initial=InitialData((1, 2, 1, 1, 1)), **change)
-        match = ("explicit brackets" if change.keys() & {"model", "params"}
-                 else "model, parameters and initial data")
-        with pytest.raises(ValueError, match=match):
-            integrate_many([first, other], sc=sc)
+        if change.keys() & {"model", "params"}:
+            monkeypatch.setattr(flow, "solve_ivp", no_solver)
+            with pytest.raises(ValueError, match="explicit brackets"):
+                integrate_many([first, other], sc=sc)
+            return
+        batch = integrate_many([first, other], sc=sc)
+        for problem, traj in zip((first, other), batch):
+            assert np.array_equal(traj.times, flow._sample_times(
+                problem.t_end, problem.samples_per_decade, problem.linear_samples))
+            assert traj.termination == "reached_t_end"
+            assert traj.meta["batch_size"] == 2
+            assert {key: traj.meta[key] for key in ("t_end", "rel_tol", "abs_tol",
+                                                    "solver_rtol", "solver_atol")} == {
+                "t_end": problem.t_end, "rel_tol": problem.rel_tol,
+                "abs_tol": problem.abs_tol, "solver_rtol": problem.rel_tol / 10,
+                "solver_atol": problem.abs_tol / 10}
+            assert deviation(traj, np.log(integrate(problem, sc=sc).coeffs)) <= 1e-9
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
             integrate_many([])
+
+    def test_rows_that_reach_their_horizon_are_not_repeated(self, caplog):
+        # su(2) + R^2 from A = B = C = x collapses at t = x.  The stacked
+        # solve runs to t = 10 and stops at t = 1, past the first row's
+        # horizon: that row keeps its samples, and only the second row is
+        # solved again, alone
+        caplog.set_level(logging.INFO, logger="solvflow.flow")
+        problems = [FlowProblem(None, InitialData((1, 1, 1, 1, 1)), 0.5),
+                    FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0)]
+        batch = integrate_many(problems, sc=SU2)
+        solves = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
+        assert [line.split(": ")[1].split(" nfev")[0] for line in solves] == [
+            "M=2 t_end=0.5,10", "M=1 t_end=10"]
+        assert batch[0].termination == "reached_t_end"
+        assert batch[0].meta["batch_size"] == 2 and "solver_message" not in batch[0].meta
+        assert np.array_equal(batch[0].times, flow._sample_times(0.5, 64, 33))
+        assert deviation(batch[0], np.log(integrate(problems[0], sc=SU2).coeffs)) <= 1e-9
+        own = integrate(problems[1], sc=SU2)
+        assert batch[1].termination == own.termination == "step_failure"
+        assert batch[1].meta["batch_size"] == 1
+        assert np.array_equal(batch[1].coeffs, own.coeffs)
+        assert 1.9 <= batch[1].times[-1] <= 2.0
+
+    def test_tied_pair_stays_tied_beside_other_tables(self):
+        # criterion 5's runs, all to 1e6.  When the union product summed the
+        # swapped terms of the D11 row's B and C columns in different
+        # orders, B - C grew from an ulp along the stiff mode: the solve took
+        # 90,440 evaluations, overflowed, and had B = 751, C = 2.9 near
+        # t = 8.7e5, where the row's own run keeps B = C = 47
+        keys = _CRITERION_RUNS[5]
+        problems = [dataclasses.replace(_run_problem(key), t_end=1e6) for key in keys]
+        batch = integrate_many(problems)  # RuntimeWarnings are errors in this suite
+        assert batch[0].meta["nfev"] < 1500  # 1,064
+        row = batch[keys.index("d11_case1_1e6")]
+        assert np.array_equal(row.coeffs[:, 1], row.coeffs[:, 2])
+        own = integrate(problems[keys.index("d11_case1_1e6")])
+        assert deviation(row, np.log(own.coeffs)) <= 1e-9
 
     def test_collapsing_rows_end_as_their_own_runs(self):
         lams = [(1, 1, 1, 1, 1), (2, 2, 2, 1, 1), (1, 1.5, 2, 1, 1), (3, 3, 3, 2, 1)]
@@ -557,19 +609,19 @@ class TestReflectedCoordinates:
     def test_swaps_of_the_catalog_tables(self, model, params, conserving, moving):
         terms = terms_of(model, **params)
         assert flow._invariant_swaps(terms) == (conserving, moving)
-        assert flow._reflected_pairs(terms) == moving
+        assert flow._reflected_pairs(moving) == moving
 
     def test_overlapping_swaps_keep_plain_coordinates(self):
         # su(2) + R^2: A, B and C are all interchangeable
         terms = compile_flow(SU2)
         assert flow._invariant_swaps(terms) == ([(3, 4)], [(0, 1), (0, 2), (1, 2)])
-        assert flow._reflected_pairs(terms) == []
+        assert flow._reflected_pairs([(0, 1), (0, 2), (1, 2)]) == []
 
     def test_abelian_swaps_all_conserve(self):
         terms = compile_flow(StructureConstants.zero(5))
         conserving, moving = flow._invariant_swaps(terms)
         assert len(conserving) == 10 and moving == []
-        assert flow._reflected_pairs(terms) == []
+        assert flow._reflected_pairs(moving) == []
 
     @pytest.mark.parametrize("eps", [1.0, -1.0])
     def test_d11_equations(self, eps):
