@@ -33,7 +33,6 @@ from .flow import (
     FlowProblem,
     Trajectory,
     integrate,
-    integrate_brackets,
     integrate_many,
 )
 from .invariants import (

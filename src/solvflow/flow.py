@@ -70,22 +70,23 @@ stacked into one system of 5M components, so scipy's per-step overhead,
 which is about the same at any width, is paid once for all of them, and
 :func:`integrate` is the batch of one.  The solve runs to the largest
 ``t_end`` over the union of the rows' sample grids, and each row keeps its
-own grid.  Each distinct (model, parameters) table is compiled once, and
-its rows form one block per set of pairs they take reflected or tied.  The
-right-hand side fills each block's slice: a reflected block through its
-own coordinates, and the plain rows of several blocks through one product
-with the union of their tables, where the logs of the other tables' terms
-are -inf in each row, so those terms add exactly 0.  A batch of one block
-uses that block's right-hand side alone, as a single run does.  The step
-control holds each row to its own tolerance: ``RowwiseDOP853`` takes
-DOP853's error norm of every row on its own and accepts a step when the
-largest is below 1, so a row's steps are at least as fine as its own run
-would take, whatever the other rows do.  The solver runs at a tenth of
-each row's own rel_tol and abs_tol, the divisor that keeps runs in tau at
-least as accurate as they were in t.  Worst |delta log g| of criterion 4's
-seed-0 draws to t = 1e4 against a DOP853 solve in t at rtol 2.3e-14 and
-atol 1e-17 (for generic D11, a Radau solve in plain coordinates at rtol
-1e-13), for D1, D2, D3, D5 and D11:
+own grid.  Each distinct table, a catalog model with its parameters or an
+explicit ``brackets`` object, is compiled once, and its rows form one block
+per set of pairs they take reflected or tied.  The right-hand side fills
+each block's slice: a reflected block through its own coordinates, and the
+plain rows of several blocks through one product with the union of their
+tables, where the logs of the other tables' terms are -inf in each row, so
+those terms add exactly 0.  A batch of one block uses that block's
+right-hand side alone, as a single run does.  The step control holds each
+row to its own tolerance: ``RowwiseDOP853`` takes DOP853's error norm of
+every row on its own and accepts a step when the largest is below 1, so a
+row's steps are at least as fine as its own run would take, whatever the
+other rows do.  The solver runs at a tenth of each row's own rel_tol and
+abs_tol, the divisor that keeps runs in tau at least as accurate as they
+were in t.  Worst |delta log g| of criterion 4's seed-0 draws to t = 1e4
+against a DOP853 solve in t at rtol 2.3e-14 and atol 1e-17 (for generic
+D11, a Radau solve in plain coordinates at rtol 1e-13), for D1, D2, D3, D5
+and D11:
 
   solve                                 D1       D2       D3       D5       D11
   in t, RMS norm at tol/sqrt(M), batch  1.1e-12  1.3e-12  1.6e-12  2.2e-12  2.9e-12
@@ -99,10 +100,10 @@ the tenth.  With an RMS norm over all rows at tolerances divided by
 sqrt(M), one D2 row of the batch lies 1.44 times as far from the reference
 as its own run, at any divisor from 1 to 30; with the row-wise norm every
 row lies at most 0.66 times as far (D11, 0.61; the D11 figures are set by
-the Radau reference).  ``solvflow check`` solves its 111 catalog rows in
-one solve of 1,421 evaluations (4,597 in one solve per horizon).  Each
-solve's ``meta`` records its accepted and rejected steps and its smallest
-step in tau.
+the Radau reference).  ``solvflow check`` solves its 111 catalog rows and
+criterion 10's abelian run in one solve of 1,421 evaluations (4,597 in one
+solve per horizon).  Each solve's ``meta`` records its accepted and
+rejected steps and its smallest step in tau.
 """
 from __future__ import annotations
 
@@ -128,7 +129,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_many",
-    "integrate_brackets",
     "CSV_HEADER",
 ]
 
@@ -139,6 +139,8 @@ log = logging.getLogger(__name__)
 TERM_REACHED = "reached_t_end"
 TERM_STEP_FAILURE = "step_failure"
 
+# samples on [0, 1], the linear part of every run's grid
+_LINEAR_SAMPLES = 33
 
 # the solver runs at the problem's tolerances divided by this (see the
 # module docstring), and scipy raises any rtol below 100 machine epsilons
@@ -206,7 +208,11 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """One flow run: model, initial data and integration controls.
+    """One flow run: bracket table, initial data and integration controls.
+
+    The table is a catalog ``model`` with its ``params`` (None for the
+    constrained ones) or explicit five-dimensional ``brackets``, which take
+    no ``params``; anything else raises here, before any solve.
 
     The flow is solved for log g, or for coordinates that reflect a pair of
     its components (see the module docstring), so ``rel_tol`` and
@@ -230,9 +236,17 @@ class FlowProblem:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     samples_per_decade: int = 64
-    linear_samples: int = 33
+    brackets: StructureConstants | None = None
 
     def __post_init__(self):
+        if (self.model is None) == (self.brackets is None):
+            raise ValueError("a flow problem needs a catalog model or explicit brackets, not both")
+        if self.brackets is None:
+            object.__setattr__(self, "model", ModelId(self.model))
+        elif self.params is not None:
+            raise ValueError("explicit brackets take no params")
+        elif not isinstance(self.brackets, StructureConstants) or self.brackets.dim != 5:
+            raise ValueError("brackets must be a five-dimensional StructureConstants")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
         for name in ("rel_tol", "abs_tol"):
@@ -243,7 +257,7 @@ class FlowProblem:
             raise ValueError(f"rel_tol must be at least {_TOL_DIVISOR * _RTOL_FLOOR:.3g}: "
                              f"the solver runs at rel_tol/{_TOL_DIVISOR}, and scipy "
                              f"raises a relative tolerance below {_RTOL_FLOOR:.3g}")
-        if self.samples_per_decade < 1 or self.linear_samples < 2:
+        if self.samples_per_decade < 1:
             raise ValueError("sampling grid too coarse")
         if not isinstance(self.initial, InitialData):
             object.__setattr__(self, "initial", InitialData(tuple(self.initial)))
@@ -267,10 +281,9 @@ class Trajectory:
     rows solved together (``batch_size``), the tolerances the solver held
     this row to, and of that solve ``nfev``, the accepted and rejected steps
     (``steps``, ``rejected_steps``), the smallest accepted step in
-    log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  For a
-    catalog model it also
-    gives the worst relative drift of its named conserved monomials over
-    the run (``max_drift``).
+    log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  It
+    also gives the worst relative drift of the model's named conserved
+    monomials over the run (``max_drift``; 0 for explicit brackets).
     Diagonality needs no per-sample record: :func:`integrate` refuses,
     before solving, any brackets whose off-diagonal Ricci monomials do not
     all cancel.
@@ -369,11 +382,15 @@ class Trajectory:
     def read_json(cls, path) -> "Trajectory":
         with open(path) as fh:
             doc = _json.load(fh)
-        s = doc["samples"]
-        coeffs = np.column_stack([s[name] for name in "ABCDE"])
+        s = doc.get("samples") if isinstance(doc, dict) else None
+        if not isinstance(s, dict):
+            raise ValueError(f"{path}: expected a JSON object with a 'samples' object")
+        missing = [name for name in ("t", *"ABCDE") if name not in s]
+        if missing:
+            raise ValueError(f"{path}: 'samples' has no {', '.join(map(repr, missing))}")
         return cls(
             times=np.asarray(s["t"], dtype=float),
-            coeffs=coeffs,
+            coeffs=np.column_stack([s[name] for name in "ABCDE"]),
             termination=doc.get("termination", "unknown"),
             model=ModelId(doc["model"]) if doc.get("model") else None,
             params=doc.get("params"),
@@ -392,10 +409,10 @@ def component_index(which: int | str) -> int:
     return int(which)
 
 
-def _sample_times(t_end: float, per_decade: int, linear_samples: int) -> np.ndarray:
+def _sample_times(t_end: float, per_decade: int) -> np.ndarray:
     if t_end <= 1.0:
-        return np.linspace(0.0, t_end, linear_samples)
-    lin = np.linspace(0.0, 1.0, linear_samples)
+        return np.linspace(0.0, t_end, _LINEAR_SAMPLES)
+    lin = np.linspace(0.0, 1.0, _LINEAR_SAMPLES)
     decades = math.log10(t_end)
     n_log = max(2, math.ceil(per_decade * decades) + 1)
     logt = np.logspace(0.0, decades, n_log)[1:]
@@ -403,45 +420,43 @@ def _sample_times(t_end: float, per_decade: int, linear_samples: int) -> np.ndar
     return np.unique(np.concatenate([lin, logt]))
 
 
-def integrate(problem: FlowProblem, sc: StructureConstants | None = None) -> Trajectory:
+def integrate(problem: FlowProblem) -> Trajectory:
     """Integrate the flow for ``problem`` and sample the solution: the
     batch of one of :func:`integrate_many`.
 
-    If ``sc`` is omitted the brackets come from the catalog model with the
-    problem's (or the constrained) parameters.  Raises DiagonalityViolation
-    before solving if the brackets do not keep a diagonal metric diagonal.
+    Raises DiagonalityViolation before solving if the brackets do not keep
+    a diagonal metric diagonal.
     """
     # the shared private solve, not integrate_many: a single run's solver
     # call then nests directly in this function's span when perfbench wraps
     # the public names for tracing
-    return _integrate_batch([problem], sc)[0]
+    return _integrate_batch([problem])[0]
 
 
-def integrate_many(problems: Sequence[FlowProblem],
-                   sc: StructureConstants | None = None) -> list[Trajectory]:
+def integrate_many(problems: Sequence[FlowProblem]) -> list[Trajectory]:
     """Integrate any problems as one stacked system to their largest
     ``t_end``, and return one trajectory per problem, in order.
 
-    Each distinct (model, parameters) table is checked and compiled once,
-    and its rows are split into blocks by the pairs they take reflected or
-    tied (see the module docstring).  Each trajectory has exactly its own
-    problem's sample times; its ``meta`` gives its own tolerances, ``t_end``
-    and, in ``solver``, coordinates, and the stacked solve's ``batch_size``,
-    ``nfev`` and step counts.  Explicit brackets ``sc`` are one table, so
-    their rows must share the model and parameters.  A finite-time collapse
-    of one row stops the shared step, so the rows that a stacked solve left
-    short of their own ``t_end`` are repeated one at a time, and every row
-    ends where its own run would.
+    Each distinct table, a catalog model with its parameters or one
+    ``brackets`` object, is checked and compiled once, and its rows are
+    split into blocks by the pairs they take reflected or tied (see the
+    module docstring).  Each trajectory has exactly its own problem's sample
+    times; its ``meta`` gives its own tolerances, ``t_end`` and, in
+    ``solver``, coordinates, and the stacked solve's ``batch_size``,
+    ``nfev`` and step counts.  A finite-time collapse of one row stops the
+    shared step, so the rows that a stacked solve left short of their own
+    ``t_end`` are repeated one at a time, and every row ends where its own
+    run would.
     """
     problems = list(problems)
-    trajs = _integrate_batch(problems, sc)
+    trajs = _integrate_batch(problems)
     redo = [k for k, traj in enumerate(trajs)
             if traj.termination == TERM_STEP_FAILURE and traj.meta["batch_size"] > 1]
     if redo:
         log.debug("stacked solve stopped at t=%g; solving its %d rows one at a time",
                   trajs[redo[0]].times[-1], len(redo))
     for k in redo:
-        trajs[k] = _integrate_batch([problems[k]], sc)[0]
+        trajs[k] = _integrate_batch([problems[k]])[0]
     return trajs
 
 
@@ -491,13 +506,9 @@ class _Block:
         return " ".join([f"{name}×{len(self.rows)}", *self.reflections])
 
 
-def _compile(model: ModelId | None, params, sc: StructureConstants | None):
-    """The checked term table of one model and parameter set (or of
-    ``sc``), its moving swaps, and the pairs its rows may take reflected."""
-    if sc is None:
-        if model is None:
-            raise ValueError("need either a catalog model or explicit brackets")
-        sc = catalog.build_model(model, params)
+def _compile(sc: StructureConstants):
+    """The checked term table of ``sc``, its moving swaps, and the pairs its
+    rows may take reflected."""
     res = jacobi_residual(sc)
     if res > 1e-10:
         raise ValueError(f"brackets violate the Jacobi identity (residual {res:.3e})")
@@ -507,8 +518,7 @@ def _compile(model: ModelId | None, params, sc: StructureConstants | None):
     return terms, moving, _reflected_pairs(moving)
 
 
-def _integrate_batch(problems: list[FlowProblem],
-                     sc: StructureConstants | None) -> list[Trajectory]:
+def _integrate_batch(problems: list[FlowProblem]) -> list[Trajectory]:
     """Check and compile each table of the M problems once, split their
     rows into blocks, and solve all blocks as one stacked DOP853 system."""
     if not problems:
@@ -519,12 +529,10 @@ def _integrate_batch(problems: list[FlowProblem],
     blocks: dict = {}
     for k, p in enumerate(problems):
         params = p.resolved_params()
-        table = (p.model, None if params is None else tuple(sorted(params.items())))
+        # explicit brackets are keyed by identity, as StructureConstants compares
+        table = p.brackets or (p.model, tuple(sorted(params.items())))
         if table not in tables:
-            if sc is not None and tables:
-                raise ValueError("rows solved with explicit brackets must share "
-                                 "their model and parameters")
-            tables[table] = _compile(p.model, params, sc)
+            tables[table] = _compile(p.brackets or catalog.build_model(p.model, params))
         terms, moving, pairs = tables[table]
         # a row with u_i = u_j at the start keeps u_i = u_j exactly: no
         # reflection, and the rates of u_j are those of u_i
@@ -585,10 +593,10 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
                 dy[rows] = piece_rhs(y[rows])
             return math.exp(tau) * dy.ravel()
 
-    row_grids = [(p.t_end, p.samples_per_decade, p.linear_samples) for p in problems]
+    row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
-    horizons = sorted({t_end for t_end, _, _ in grids})
+    horizons = sorted({t_end for t_end, _ in grids})
     # module attributes, which load scipy at first use (outside the timed
     # solve) and which a tracer or test may have replaced
     module = sys.modules[__name__]
@@ -722,13 +730,3 @@ class _Reflected:
         ez[:, self.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
         return ez @ self.dy_of_ez
 
-
-def integrate_brackets(
-    sc: StructureConstants,
-    lam,
-    t_end: float,
-    **kwargs,
-) -> Trajectory:
-    """Integrate the flow of arbitrary (non-catalog) brackets."""
-    problem = FlowProblem(model=None, initial=InitialData(tuple(lam)), t_end=t_end, **kwargs)
-    return integrate(problem, sc=sc)

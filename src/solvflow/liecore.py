@@ -24,14 +24,14 @@ __all__ = [
 _ANTISYM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Bracket coefficients c[i,j,k] of [e_i, e_j] on basis vector e_k.
 
-    The tensor must be antisymmetric in (i, j); that is checked at
-    construction.  The Jacobi identity is *not* enforced here, so that
+    The tensor must be finite and antisymmetric in (i, j); that is checked
+    at construction.  The Jacobi identity is *not* enforced here, so that
     :func:`jacobi_residual` can be used to measure how badly a candidate
-    table fails it.
+    table fails it.  Equality is identity, and a table hashes by identity.
     """
 
     c: np.ndarray = field(repr=False)
@@ -40,7 +40,9 @@ class StructureConstants:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"structure tensor must be cubic, got shape {c.shape}")
-        asym = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
+        if not np.isfinite(c).all():
+            raise ValueError("structure constants must be finite")
+        asym = np.abs(c + c.swapaxes(0, 1)).max()
         if asym > _ANTISYM_TOL:
             raise ValueError(f"structure tensor not antisymmetric (defect {asym:.3e})")
         c = c.copy()
@@ -71,9 +73,10 @@ class StructureConstants:
         return cls(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisChange:
-    """Lower-unitriangular change of basis y_i = sum_k matrix[i,k] x_k."""
+    """Lower-unitriangular change of basis y_i = sum_k matrix[i,k] x_k.
+    Equality is identity, as for :class:`StructureConstants`."""
 
     matrix: np.ndarray = field(repr=False)
 

@@ -14,13 +14,14 @@ D11, whose tabulated Ric(Y5,Y5) omits the commutator contribution +1/E of
 the rotation block; the corrected flow has dE/dt = C/B + B/C + A/D - 2 and
 Heisenberg-type long-time exponents.
 
-The canonical flow runs that criteria 3 and 5-9 read are declared per
-criterion (``_CRITERION_RUNS``).  :meth:`VerifySession.run_all` solves the
-runs of the selected criteria and models, and criterion 4's draws if it is
-selected, before the criteria start, in one stacked solve
+The canonical flow runs that criteria 3, 5-10 read are declared per
+criterion (``_CRITERION_RUNS``); criterion 10's abelian run has explicit
+brackets, so no model filter applies to it.  :meth:`VerifySession.run_all`
+solves the runs of the selected criteria and models, and criterion 4's
+draws if it is selected, before the criteria start, in one stacked solve
 (:func:`solvflow.flow.integrate_many`), so their time appears in the
 report's ``runs[...]["wall_s"]`` and not in any criterion's ``elapsed_s``.
-Criterion 4 only reads its batch of that solve.
+A check makes this one solve, and criterion 4 only reads its batch of it.
 
 Criteria 1, 2 and 10 evaluate their random draws as stacks: one
 :func:`~solvflow.curvature.ricci_forms` call per model for the Ricci forms,
@@ -41,7 +42,7 @@ import numpy as np
 from . import catalog
 from .catalog import InitialData, ModelId
 from .curvature import DiagonalMetric, compile_flow, ricci_forms, ricci_quadratic
-from .flow import FlowProblem, Trajectory, integrate, integrate_brackets, integrate_many
+from .flow import FlowProblem, Trajectory, integrate, integrate_many
 from .invariants import detect_monomials, drift_report, ratio_diagnostics
 from .liecore import StructureConstants, jacobi_residuals, unimodularity_defects
 from .asymptotics import (
@@ -311,8 +312,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(rel))
 
 
-# canonical verification runs, keyed for reuse across criteria
-_RUNS: dict[str, tuple[ModelId, tuple[float, ...], float]] = {
+# canonical verification runs (catalog model or bracket table, lam, t_end)
+_RUNS: dict[str, tuple[ModelId | StructureConstants, tuple[float, ...], float]] = {
     "d5_unit_10": (ModelId.D5, (1, 1, 1, 1, 1), 10.0),
     "d1_case1_1e6": (ModelId.D1, (1.0, 1.2, 0.8, 1.5, 1.2 * 1.5 / 0.8), 1e6),
     "d1_case2_1e6": (ModelId.D1, (1.0, 1.0, 1.0, 2.0, 1.0), 1e6),
@@ -324,10 +325,11 @@ _RUNS: dict[str, tuple[ModelId, tuple[float, ...], float]] = {
     "d11_case1_1e6": (ModelId.D11, (1, 1, 1, 2, 1), 1e6),
     "d11_case2_10": (ModelId.D11, (1, 2, 1, 1, 1), 10.0),
     "d11_case2_1e4": (ModelId.D11, (1, 2, 1, 1, 1), 1e4),
+    "abelian_10": (StructureConstants.zero(5), (1.3, 0.7, 2.0, 1.1, 0.9), 10.0),
 }
 
-# the _RUNS keys each criterion reads; a key is read only when its model is
-# selected, and run_all solves these before the criteria start
+# the _RUNS keys each criterion reads; a catalog run is read only when its
+# model is selected, and run_all solves these before the criteria start
 _CRITERION_RUNS: dict[int, tuple[str, ...]] = {
     3: ("d5_unit_10",),
     5: ("d1_case1_1e6", "d1_case2_1e6", "d2_case1_1e6", "d2_generic_1e6",
@@ -336,12 +338,15 @@ _CRITERION_RUNS: dict[int, tuple[str, ...]] = {
     7: ("d2_generic_1e6", "d2_case1_bern_1e4"),
     8: ("d3_unit_1e6",),
     9: ("d11_case1_1e6", "d11_case2_10", "d11_case2_1e4"),
+    10: ("abelian_10",),
 }
 
 
 def _run_problem(key: str) -> FlowProblem:
-    model, lam, t_end = _RUNS[key]
-    return FlowProblem(model, InitialData(lam), t_end, rel_tol=1e-12, abs_tol=1e-14)
+    table, lam, t_end = _RUNS[key]
+    model, brackets = (table, None) if isinstance(table, ModelId) else (None, table)
+    return FlowProblem(model, InitialData(lam), t_end, rel_tol=1e-12, abs_tol=1e-14,
+                       brackets=brackets)
 
 
 class VerifySession:
@@ -667,8 +672,7 @@ class VerifySession:
                 worst_p = max(worst_p, abs(q - expand) / scale)
             items.append(CheckItem(f"{model.value} polarization expansion Q(w) = w.R.w",
                                    worst_p < 1e-12, worst_p, 0.0, 1e-12))
-        abelian = StructureConstants.zero(5)
-        traj = integrate_brackets(abelian, (1.3, 0.7, 2.0, 1.1, 0.9), 10.0)
+        traj = self.run("abelian_10")
         const = float(np.max(np.abs(traj.coeffs - traj.coeffs[0])))
         items.append(CheckItem("abelian algebra flow is constant",
                                const < 1e-14, const, 0.0, 1e-14))
@@ -684,7 +688,8 @@ class VerifySession:
         numbers = sorted(numbers) if numbers else sorted(CRITERION_TITLES)
         t_start = time.perf_counter()
         wanted = {key for n in numbers for key in _CRITERION_RUNS.get(n, ())}
-        keys = [key for key in _RUNS if key in wanted and _RUNS[key][0] in self.models
+        keys = [key for key, (table, _, _) in _RUNS.items() if key in wanted
+                and (not isinstance(table, ModelId) or table in self.models)
                 and key not in self._cache]
         draws = []
         if 4 in numbers:  # criterion 4's 20 initial data per model

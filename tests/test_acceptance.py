@@ -86,7 +86,8 @@ def test_d11_order_gated_over_the_long_run(report):
 
 
 def test_report_tabulates_each_run(report):
-    # the canonical runs and criterion 4's draws share one stacked solve
+    # the canonical runs, criterion 10's abelian run among them, and
+    # criterion 4's draws share one stacked solve
     c4 = {f"c4_{model.value}" for model in ModelId}
     assert set(report.runs) == c4 | set(_RUNS)
     for key, run in report.runs.items():
@@ -94,7 +95,7 @@ def test_report_tabulates_each_run(report):
                             "wall_s", "termination", "batch_size", "max_drift"}, key
         assert run["termination"] == "reached_t_end", key
         assert run["nfev"] > 0 and run["steps"] > 0 and run["wall_s"] > 0.0, key
-        assert run["batch_size"] == len(_RUNS) + 100 == 111, key
+        assert run["batch_size"] == len(_RUNS) + 100 == 112, key
         assert all(math.isfinite(run[k]) for k in ("nfev", "steps", "rejected_steps",
                                                    "min_step_log_t", "wall_s", "max_drift")), key
     assert len({(run["nfev"], run["steps"], run["wall_s"]) for run in report.runs.values()}) == 1
@@ -113,14 +114,14 @@ def test_every_run_is_declared_by_a_criterion():
 def test_criterion_solves_exactly_its_declared_runs(monkeypatch, number):
     # run_all solves the declared runs and criterion 4's draws up front, in
     # one stacked solve, so no criterion falls back to a solve of its own
-    def no_lazy_solve(problem, sc=None):
+    def no_lazy_solve(problem):
         raise AssertionError(f"lazy solve of {problem}")
 
     solves = []
 
-    def counted(problems, sc=None):
+    def counted(problems):
         solves.append(len(problems))
-        return integrate_many(problems, sc)
+        return integrate_many(problems)
 
     monkeypatch.setattr(verify, "integrate", no_lazy_solve)
     monkeypatch.setattr(verify, "integrate_many", counted)

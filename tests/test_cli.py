@@ -172,6 +172,22 @@ def test_fit_csv_without_samples_usage_error(tmp_path, capsys, content, message)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"model": "D5"}, "'samples'"),
+    ({"samples": {"t": [0.0, 1.0], "A": [1, 1], "B": [1, 1], "D": [1, 1], "E": [1, 1]}},
+     "has no 'C'"),
+    ({"samples": {"A": [1], "B": [1], "C": [1], "D": [1], "E": [1]}}, "has no 't'"),
+    ([1, 2, 3], "'samples'"),
+    ({"samples": [1, 2, 3]}, "'samples'"),
+])
+def test_fit_malformed_json_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fit", "--in", str(path), "--component", "A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_check_single_model(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["check", "D5", "--seed", "0", "--out", str(out)])

@@ -17,7 +17,6 @@ from solvflow.flow import (
     FlowProblem,
     Trajectory,
     integrate,
-    integrate_brackets,
     integrate_many,
 )
 from solvflow.liecore import StructureConstants
@@ -28,6 +27,11 @@ def run(model, lam, t_end, **kw):
     kw.setdefault("rel_tol", 1e-12)
     kw.setdefault("abs_tol", 1e-14)
     return integrate(FlowProblem(model, InitialData(lam), t_end, **kw))
+
+
+def run_brackets(sc, lam, t_end):
+    """One run of explicit brackets at the default tolerances."""
+    return integrate(FlowProblem(None, InitialData(lam), t_end, brackets=sc))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +177,7 @@ class TestIntegrate:
     def test_first_sample_is_bitwise_initial_data(self):
         # exp(log(x)) != x for these values; the t=0 sample must still be lam
         lam = (2.76, 2.78, 2.82, 2.89, 2.93)
-        traj = integrate_brackets(StructureConstants.zero(5), lam, 1.0)
+        traj = run_brackets(StructureConstants.zero(5), lam, 1.0)
         assert np.array_equal(traj.coeffs[0], lam)
 
     def test_times_strictly_increasing(self, d5_unit_10):
@@ -189,7 +193,7 @@ class TestIntegrate:
 
     def test_abelian_flow_constant(self):
         lam = (1.3, 0.7, 2.0, 1.1, 0.9)
-        traj = integrate_brackets(StructureConstants.zero(5), lam, 50.0)
+        traj = run_brackets(StructureConstants.zero(5), lam, 50.0)
         assert traj.termination == "reached_t_end"
         assert np.max(np.abs(traj.coeffs - np.array(lam))) < 1e-14
 
@@ -228,7 +232,7 @@ class TestIntegrate:
         # su(2) + R^2: A = B = C = 1 - t collapses at t = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate_brackets(SU2, (1, 1, 1, 1, 1), 10.0)
+            traj = run_brackets(SU2, (1, 1, 1, 1, 1), 10.0)
         assert traj.termination == "step_failure"
         assert traj.meta["solver_message"]
         assert traj.times[-1] < 10.0
@@ -241,7 +245,7 @@ class TestIntegrate:
         # way the rates overflow, and a step whose error estimate is NaN is
         # rejected; at 1e-300 no step is accepted at all
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_brackets(SU2, (scale, scale, scale, 1, 1), 1.0)
+            traj = run_brackets(SU2, (scale, scale, scale, 1, 1), 1.0)
         assert traj.termination == "step_failure" and list(traj.times) == [0.0]
         assert (traj.meta["steps"] > 0) == accepted
         assert (traj.meta["min_step_log_t"] is not None) == accepted
@@ -298,7 +302,7 @@ class TestIntegrate:
             5, {(0, 1, 1): 1.0, (0, 2, 2): 1.0, (1, 2, 0): 1.0}
         )
         with pytest.raises(ValueError, match="Jacobi"):
-            integrate_brackets(bad, (1, 1, 1, 1, 1), 1.0)
+            run_brackets(bad, (1, 1, 1, 1, 1), 1.0)
 
     def test_invalid_problem(self):
         with pytest.raises(ValueError):
@@ -308,6 +312,41 @@ class TestIntegrate:
                 FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), t_end)
         with pytest.raises(ValueError):
             FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0, rel_tol=2.0)
+
+    def test_table_is_named_once_and_checked_at_construction(self, monkeypatch):
+        monkeypatch.setattr(flow, "solve_ivp", no_solver)  # refused before any solve
+        lam = InitialData((1.0, 1.2, 0.8, 1.5, 2.25))
+        d3 = catalog.build_model(ModelId.D3, catalog.constrained_params(ModelId.D3))
+        assert FlowProblem("D5", lam, 1.0).model is ModelId.D5
+        with pytest.raises(ValueError, match="'D7' is not a valid ModelId"):
+            FlowProblem("D7", lam, 1.0)
+        # a model beside another table's brackets would solve that table
+        # under the model's name, monomials and residual checks
+        with pytest.raises(ValueError, match="not both"):
+            FlowProblem(ModelId.D1, lam, 1e4, brackets=d3)
+        with pytest.raises(ValueError, match="needs a catalog model or explicit brackets"):
+            FlowProblem(None, lam, 1.0)
+        with pytest.raises(ValueError, match="explicit brackets take no params"):
+            FlowProblem(None, lam, 1.0, params={"alpha": 1.0}, brackets=d3)
+        for brackets in (StructureConstants.zero(3), d3.c):
+            with pytest.raises(ValueError, match="five-dimensional StructureConstants"):
+                FlowProblem(None, lam, 1.0, brackets=brackets)
+        # brackets compare by identity, so problems that hold them compare
+        problem = FlowProblem(None, lam, 1.0, brackets=d3)
+        assert problem == dataclasses.replace(problem)
+        assert problem != dataclasses.replace(problem, brackets=StructureConstants.zero(5))
+
+    def test_model_given_by_name_is_solved_as_the_model(self):
+        traj = integrate(FlowProblem("D5", InitialData((1, 1, 1, 1, 1)), 1.0))
+        assert traj.model is ModelId.D5 and traj.termination == "reached_t_end"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_params_refused_before_solving(self, monkeypatch, bad):
+        monkeypatch.setattr(flow, "solve_ivp", no_solver)
+        problem = FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0,
+                              params={"alpha": bad})
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(problem)
 
     def test_tolerance_scipy_would_raise_is_refused(self):
         # the solver runs at rel_tol/10, and scipy silently raises an rtol
@@ -323,7 +362,7 @@ class TestIntegrate:
         assert d5_unit_10.meta["max_drift"] < 1e-10   # AB, AC conserved
         assert d5_unit_10.meta["max_drift"] == max(
             drift_report(d5_unit_10, m) for m in catalog.model_invariants(ModelId.D5).monomials)
-        abelian = integrate_brackets(StructureConstants.zero(5), (1, 2, 3, 4, 5), 10.0)
+        abelian = run_brackets(StructureConstants.zero(5), (1, 2, 3, 4, 5), 10.0)
         assert abelian.meta["max_drift"] == 0.0
 
 
@@ -371,7 +410,7 @@ class TestIntegrateMany:
 
     def test_check_runs_as_accurate_as_the_solve_in_t(self):
         # the canonical runs, stacked with criterion 4's draws as the check
-        # solves them
+        # solves them; the abelian run has no catalog model and no reference
         session = VerifySession(seed=0)
         session.run_all()
         # the reflected runs (d11_case2_10 and d11_case2_1e4) share their
@@ -385,6 +424,8 @@ class TestIntegrateMany:
         [radau] = radau_reference(terms_of(ModelId.D11), [_run_problem(reflected[0])], times)
         for key, traj in session._cache.items():
             problem = _run_problem(key)
+            if problem.model is None:
+                continue
             terms = terms_of(problem.model)
             if key in reflected:
                 ref = radau[np.searchsorted(times, traj.times)]
@@ -491,31 +532,26 @@ class TestIntegrateMany:
             assert np.array_equal(stacked[k], block.terms.log_rhs(u[k:k + 1])[0])
 
     @pytest.mark.parametrize("change", [
-        {"model": ModelId.D2},
-        {"params": {"eps": -1.0}},
+        {"model": ModelId.D2, "brackets": None},
+        {"brackets": HEISENBERG},
         {"t_end": 20.0},
         {"rel_tol": 1e-10},
         {"abs_tol": 1e-12},
         {"samples_per_decade": 32},
-        {"linear_samples": 17},
     ])
-    def test_problems_differing_beyond_initial_data_raise(self, monkeypatch, change):
-        # only explicit brackets refuse rows that differ: they are one table,
-        # which cannot serve two models.  Rows that differ in horizon,
-        # tolerances or sampling share one solve, and each keeps its own
-        # grid and tolerances
+    def test_problems_differing_beyond_initial_data_raise(self, change):
+        # no two problems are refused a shared solve: a row of explicit
+        # brackets shares it with a catalog row or a row of other brackets,
+        # and rows that differ in horizon, tolerances or sampling share it
+        # too.  Each row keeps its own table, grid and tolerances
         sc = catalog.build_model(ModelId.D5, catalog.constrained_params(ModelId.D5))
-        first = FlowProblem(ModelId.D5, InitialData((1, 1, 1, 1, 1)), 10.0)
+        first = FlowProblem(None, InitialData((1, 1, 1, 1, 1)), 10.0, brackets=sc)
         other = dataclasses.replace(first, initial=InitialData((1, 2, 1, 1, 1)), **change)
-        if change.keys() & {"model", "params"}:
-            monkeypatch.setattr(flow, "solve_ivp", no_solver)
-            with pytest.raises(ValueError, match="explicit brackets"):
-                integrate_many([first, other], sc=sc)
-            return
-        batch = integrate_many([first, other], sc=sc)
+        batch = integrate_many([first, other])
         for problem, traj in zip((first, other), batch):
+            assert traj.model is problem.model
             assert np.array_equal(traj.times, flow._sample_times(
-                problem.t_end, problem.samples_per_decade, problem.linear_samples))
+                problem.t_end, problem.samples_per_decade))
             assert traj.termination == "reached_t_end"
             assert traj.meta["batch_size"] == 2
             assert {key: traj.meta[key] for key in ("t_end", "rel_tol", "abs_tol",
@@ -523,7 +559,7 @@ class TestIntegrateMany:
                 "t_end": problem.t_end, "rel_tol": problem.rel_tol,
                 "abs_tol": problem.abs_tol, "solver_rtol": problem.rel_tol / 10,
                 "solver_atol": problem.abs_tol / 10}
-            assert deviation(traj, np.log(integrate(problem, sc=sc).coeffs)) <= 1e-9
+            assert deviation(traj, np.log(integrate(problem).coeffs)) <= 1e-9
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
@@ -535,17 +571,17 @@ class TestIntegrateMany:
         # horizon: that row keeps its samples, and only the second row is
         # solved again, alone
         caplog.set_level(logging.INFO, logger="solvflow.flow")
-        problems = [FlowProblem(None, InitialData((1, 1, 1, 1, 1)), 0.5),
-                    FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0)]
-        batch = integrate_many(problems, sc=SU2)
+        problems = [FlowProblem(None, InitialData((1, 1, 1, 1, 1)), 0.5, brackets=SU2),
+                    FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0, brackets=SU2)]
+        batch = integrate_many(problems)
         solves = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
         assert [line.split(": ")[1].split(" nfev")[0] for line in solves] == [
             "M=2 t_end=0.5,10", "M=1 t_end=10"]
         assert batch[0].termination == "reached_t_end"
         assert batch[0].meta["batch_size"] == 2 and "solver_message" not in batch[0].meta
-        assert np.array_equal(batch[0].times, flow._sample_times(0.5, 64, 33))
-        assert deviation(batch[0], np.log(integrate(problems[0], sc=SU2).coeffs)) <= 1e-9
-        own = integrate(problems[1], sc=SU2)
+        assert np.array_equal(batch[0].times, flow._sample_times(0.5, 64))
+        assert deviation(batch[0], np.log(integrate(problems[0]).coeffs)) <= 1e-9
+        own = integrate(problems[1])
         assert batch[1].termination == own.termination == "step_failure"
         assert batch[1].meta["batch_size"] == 1
         assert np.array_equal(batch[1].coeffs, own.coeffs)
@@ -568,11 +604,11 @@ class TestIntegrateMany:
 
     def test_collapsing_rows_end_as_their_own_runs(self):
         lams = [(1, 1, 1, 1, 1), (2, 2, 2, 1, 1), (1, 1.5, 2, 1, 1), (3, 3, 3, 2, 1)]
-        problems = [FlowProblem(None, InitialData(lam), 10.0) for lam in lams]
-        batch = integrate_many(problems, sc=SU2)
+        problems = [FlowProblem(None, InitialData(lam), 10.0, brackets=SU2) for lam in lams]
+        batch = integrate_many(problems)
         finals = []
         for problem, traj in zip(problems, batch):
-            own = integrate(problem, sc=SU2)
+            own = integrate(problem)
             assert traj.termination == own.termination == "step_failure"
             assert traj.times[-1] == own.times[-1]
             finals.append(traj.times[-1])
@@ -589,10 +625,10 @@ class TestReflectedCoordinates:
         (None, (1.3, 0.7, 2.0, 1.1, 0.9)),
     ], ids=["D1", "D2", "D3", "D5", "D11-case1", "brackets"])
     def test_plain_runs_are_the_direct_solve(self, model, lam):
-        sc = HEISENBERG if model is None else None
-        problem = FlowProblem(model, InitialData(lam), 1e3)
-        traj = integrate(problem, sc=sc)
-        sol, counts = tau_solve(compile_flow(sc) if model is None else terms_of(model),
+        problem = FlowProblem(model, InitialData(lam), 1e3,
+                              brackets=HEISENBERG if model is None else None)
+        traj = integrate(problem)
+        sol, counts = tau_solve(compile_flow(HEISENBERG) if model is None else terms_of(model),
                                 problem, traj.times)
         assert traj.meta["solver"] == "DOP853 on log g in log(1+t)"
         assert (traj.meta["nfev"], traj.meta["steps"]) == (sol.nfev, counts["steps"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -35,6 +37,25 @@ class TestStructureConstants:
     def test_diagonal_bracket_rejected(self):
         with pytest.raises(ValueError):
             StructureConstants.from_brackets(5, {(1, 1, 0): 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        c = np.zeros((5, 5, 5))
+        c[0, 1, 2], c[1, 0, 2] = bad, -bad
+        with pytest.raises(ValueError, match="must be finite"):
+            StructureConstants(c)
+        with pytest.raises(ValueError, match="must be finite"):
+            StructureConstants.from_brackets(5, {(0, 1, 2): bad})
+        with pytest.raises(ValueError, match="must be finite"):
+            build_model(ModelId.D1, {"alpha": bad})
+
+    def test_equality_is_identity(self):
+        a, b = StructureConstants.zero(5), StructureConstants.zero(5)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        t, u = BasisChange.identity(5), BasisChange.identity(5)
+        assert t == t and t != u
+        assert hash(t) == hash(t) and len({t, u, t}) == 2
 
     def test_tensor_is_frozen(self):
         sc = StructureConstants.zero(5)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from solvflow import catalog
-from solvflow.catalog import ModelId
+from solvflow.catalog import InitialData, ModelId
 from solvflow.curvature import DiagonalMetric, compile_flow, ricci_quadratic, ricci_tensor
-from solvflow.flow import integrate_brackets
+from solvflow.flow import FlowProblem, integrate
 from solvflow.liecore import StructureConstants, jacobi_residual, unimodularity_defect
 from solvflow.verify import VerifySession, _rel_err, reference_ricci_diag, reference_system
 
@@ -70,7 +70,8 @@ def loop_criterion_10(session):
             worst_p = max(worst_p, abs(q - expand) / max(abs(q), abs(expand), 1.0))
         items.append((f"{model.value} polarization expansion Q(w) = w.R.w",
                       worst_p < 1e-12, worst_p))
-    traj = integrate_brackets(StructureConstants.zero(5), (1.3, 0.7, 2.0, 1.1, 0.9), 10.0)
+    traj = integrate(FlowProblem(None, InitialData((1.3, 0.7, 2.0, 1.1, 0.9)), 10.0,
+                                 brackets=StructureConstants.zero(5)))
     const = float(np.max(np.abs(traj.coeffs - traj.coeffs[0])))
     items.append(("abelian algebra flow is constant", const < 1e-14, const))
     return items
