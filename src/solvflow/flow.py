@@ -325,9 +325,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.coeffs[-1].copy()
 
-    def component(self, which: int | str) -> np.ndarray:
-        return self.coeffs[:, component_index(which)].copy()
-
     # -- serialization ------------------------------------------------------
 
     def write_csv(self, path) -> None:

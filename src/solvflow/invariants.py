@@ -129,21 +129,15 @@ def _integer_row(values: Sequence[float]) -> list[int]:
 
 def detect_monomials_brackets(
     sc: StructureConstants,
-    max_exp: int,
     named: Sequence[InvariantMonomial] = (),
-    seed: int | None = 0,
 ) -> list[InvariantMonomial]:
     """The full lattice of monomials conserved by the flow of ``sc``, as a
-    canonical basis.
+    canonical basis: exact, with no search box and no random points.
 
     Any of the ``named`` vectors lying in the lattice are listed first (and
     count toward spanning it), so well-known combinations keep their
-    familiar form in the output.  ``max_exp`` and ``seed`` are accepted for
-    compatibility and have no effect: the lattice is exact, with no search
-    box and no random points (``max_exp < 1`` is still rejected).
+    familiar form in the output.
     """
-    if max_exp < 1:
-        raise ValueError("max_exp must be a positive integer")
     # [M[:, p] | unit_p] span {[M x | x]}; in their echelon basis the rows
     # that vanish on the M block span exactly the x with M x = 0
     rates = compile_flow(sc).rates  # (monomials, dim): M
@@ -174,13 +168,16 @@ def detect_monomials(
 ) -> list[InvariantMonomial]:
     """Conserved monomials of a catalog model (constrained parameters by
     default), with the model's named invariants listed first.  ``max_exp``
-    and ``seed`` have no effect, as in :func:`detect_monomials_brackets`."""
+    and ``seed`` are accepted for compatibility and have no effect, since
+    the lattice is exact (``max_exp < 1`` is still rejected)."""
+    if max_exp < 1:
+        raise ValueError("max_exp must be a positive integer")
     model = ModelId(model)
     if params is None:
         params = catalog.constrained_params(model)
     sc = catalog.build_model(model, params)
     named = catalog.model_invariants(model).monomials
-    return detect_monomials_brackets(sc, max_exp, named=named, seed=seed)
+    return detect_monomials_brackets(sc, named=named)
 
 
 # ---------------------------------------------------------------------------

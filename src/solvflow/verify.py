@@ -14,14 +14,13 @@ D11, whose tabulated Ric(Y5,Y5) omits the commutator contribution +1/E of
 the rotation block; the corrected flow has dE/dt = C/B + B/C + A/D - 2 and
 Heisenberg-type long-time exponents.
 
-The canonical flow runs that criteria 3, 5-10 read are declared per
-criterion (``_CRITERION_RUNS``); criterion 10's abelian run has explicit
-brackets, so no model filter applies to it.  :meth:`VerifySession.run_all`
-solves the runs of the selected criteria and models, and criterion 4's
-draws if it is selected, before the criteria start, in one stacked solve
-(:func:`solvflow.flow.integrate_many`), so their time appears in the
-report's ``runs[...]["wall_s"]`` and not in any criterion's ``elapsed_s``.
-A check makes this one solve, and criterion 4 only reads its batch of it.
+The flow runs that the criteria read are the canonical runs (``_RUNS``)
+of the selected models, plus criterion 10's abelian run, whose explicit
+brackets no model filter removes, and criterion 4's 20 draws per model.
+:meth:`VerifySession.run_all` solves all of them before the criteria start,
+in one stacked solve (:func:`solvflow.flow.integrate_many`), so its time
+appears in the report's ``solves`` and not in any criterion's
+``elapsed_s``.
 
 Criteria 1, 2 and 10 evaluate their random draws as stacks: one
 :func:`~solvflow.curvature.ricci_forms` call per model for the Ricci forms,
@@ -233,11 +232,19 @@ class Discrepancy:
         return self.__dict__.copy()
 
 
+# the facts of a stacked solve that every one of its rows repeats in its meta
+_SOLVE_FACTS = ("batch_size", "nfev", "steps", "rejected_steps", "min_step_log_t", "wall_s")
+
+
 @dataclass
 class VerificationReport:
-    """The criteria's results, and in ``runs`` how each flow run they used
-    was solved (see :func:`_run_summary`), keyed by its ``_RUNS`` key or,
-    for criterion 4's batches, by ``c4_<model>``."""
+    """The criteria's results, and how the flow runs they read were solved.
+
+    ``runs`` is keyed by the ``_RUNS`` key or, for criterion 4's draws, by
+    ``c4_<model>_<k>``; each entry gives the run's own ``solver``,
+    ``termination`` and ``max_drift``, and in ``solve`` the index into
+    ``solves`` of the stacked solve that produced it.  ``solves`` gives each
+    distinct solve's ``_SOLVE_FACTS`` once.  A check makes one solve."""
 
     criteria: list[CriterionResult]
     discrepancies: list[Discrepancy]
@@ -245,6 +252,7 @@ class VerificationReport:
     seed: int
     elapsed_s: float
     runs: dict[str, dict] = field(default_factory=dict)
+    solves: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -259,32 +267,8 @@ class VerificationReport:
             "discrepancies": [d.as_dict() for d in self.discrepancies],
             "notes": self.notes,
             "runs": self.runs,
+            "solves": self.solves,
         }
-
-
-def _run_summary(trajs: Sequence[Trajectory]) -> dict:
-    """How the trajectories of one run or batch were solved, from their
-    ``meta``: the solvers, the termination, ``nfev``, ``steps``,
-    ``rejected_steps``, ``wall_s`` and ``batch_size`` summed over their
-    distinct stacked solves, the smallest step of any of them
-    (``min_step_log_t``), and the worst ``max_drift`` of any row.  The rows
-    of one stacked solve share all of its meta but ``solver``, which names
-    each row's coordinates, and ``max_drift``."""
-    solves = dict.fromkeys((t.termination, t.meta["min_step_log_t"], t.meta["nfev"],
-                            t.meta["steps"], t.meta["rejected_steps"], t.meta["wall_s"],
-                            t.meta["batch_size"]) for t in trajs)
-    terminations, min_steps, nfev, steps, rejected, wall_s, batch_size = zip(*solves)
-    return {
-        "solver": "; ".join(dict.fromkeys(t.meta["solver"] for t in trajs)),
-        "termination": "; ".join(dict.fromkeys(terminations)),
-        "nfev": sum(nfev),
-        "steps": sum(steps),
-        "rejected_steps": sum(rejected),
-        "min_step_log_t": min((h for h in min_steps if h is not None), default=None),
-        "wall_s": sum(wall_s),
-        "batch_size": sum(batch_size),
-        "max_drift": max(t.meta["max_drift"] for t in trajs),
-    }
 
 
 CRITERION_TITLES = {
@@ -328,18 +312,11 @@ _RUNS: dict[str, tuple[ModelId | StructureConstants, tuple[float, ...], float]] 
     "abelian_10": (StructureConstants.zero(5), (1.3, 0.7, 2.0, 1.1, 0.9), 10.0),
 }
 
-# the _RUNS keys each criterion reads; a catalog run is read only when its
-# model is selected, and run_all solves these before the criteria start
-_CRITERION_RUNS: dict[int, tuple[str, ...]] = {
-    3: ("d5_unit_10",),
-    5: ("d1_case1_1e6", "d1_case2_1e6", "d2_case1_1e6", "d2_generic_1e6",
-        "d3_unit_1e6", "d3_selfsim_1e3", "d11_case1_1e6"),
-    6: ("d1_case1_1e6", "d1_case2_1e6"),
-    7: ("d2_generic_1e6", "d2_case1_bern_1e4"),
-    8: ("d3_unit_1e6",),
-    9: ("d11_case1_1e6", "d11_case2_10", "d11_case2_1e4"),
-    10: ("abelian_10",),
-}
+def _closed_form_dev(traj: Trajectory, case: str) -> float:
+    """Worst relative deviation of a run from its model's closed form
+    ``case`` at the run's initial data."""
+    cf = ClosedFormSolution(traj.model, case, traj.coeffs[0])
+    return float(np.max(np.abs(traj.coeffs / cf.eval_array(traj.times) - 1.0)))
 
 
 def _run_problem(key: str) -> FlowProblem:
@@ -356,7 +333,6 @@ class VerifySession:
         self.seed = int(seed)
         self.models = tuple(ModelId(m) for m in models) if models else ALL_MODELS
         self._cache: dict[str, Trajectory] = {}
-        self._batches: dict[str, list[Trajectory]] = {}  # criterion 4, by c4_<model>
         self.discrepancies: list[Discrepancy] = []
 
     # -- helpers ------------------------------------------------------------
@@ -428,8 +404,7 @@ class VerifySession:
         if ModelId.D5 not in self.models:
             return []
         traj = self.run("d5_unit_10")
-        cf = ClosedFormSolution(ModelId.D5, "exact", InitialData((1, 1, 1, 1, 1)))
-        dev = float(np.max(np.abs(traj.coeffs / cf.eval_array(traj.times) - 1.0)))
+        dev = _closed_form_dev(traj, "exact")
         edev = float(np.max(np.abs(traj.coeffs[:, 4] - (4.0 * traj.times + 1.0))))
         return [
             CheckItem("D5 unit run vs closed form (t<=10)", dev < 1e-8, dev, 0.0, 1e-8),
@@ -441,7 +416,7 @@ class VerifySession:
         items = []
         for model in self.models:
             inv = catalog.model_invariants(model)
-            trajs = self._batches[f"c4_{model.value}"]
+            trajs = [self._cache[f"c4_{model.value}_{k}"] for k in range(20)]
             worst = max((drift_report(traj, mono) for traj in trajs
                          for mono in inv.monomials), default=0.0)
             items.append(CheckItem(f"{model.value} invariant drift over 20 runs to 1e4",
@@ -496,10 +471,7 @@ class VerifySession:
         if ModelId.D3 in self.models:
             exp = catalog.model_asymptotics(ModelId.D3, "generic")
             items += self._fit_items("d3_unit_1e6", "D3 generic", exp)
-            traj = self.run("d3_selfsim_1e3")
-            cf = ClosedFormSolution(ModelId.D3, "self_similar",
-                                    InitialData((2.0 / 3.0, 1, 1, 1, 1)))
-            dev = float(np.max(np.abs(traj.coeffs / cf.eval_array(traj.times) - 1.0)))
+            dev = _closed_form_dev(self.run("d3_selfsim_1e3"), "self_similar")
             items.append(CheckItem("D3 self-similar run vs closed form",
                                    dev < 1e-8, dev, 0.0, 1e-8))
         if ModelId.D11 in self.models:
@@ -532,11 +504,14 @@ class VerifySession:
             worst = max(pair_b, pair_d)
             items.append(CheckItem(f"D1 {case} pair relations B^2-wC^2-k, D^2-eE^2-l",
                                    worst < 1e-8, worst, 0.0, 1e-8))
-            res = residual_check(ModelId.D1, case, traj)
-            tol = 1e-6 if case == "case2" else 1e-8
-            name = ("log-implicit antiderivative laws" if case == "case2"
-                    else "quartic-root relations")
-            items.append(CheckItem(f"D1 {case} {name}", res < tol, res, 0.0, tol))
+            if case == "case1":
+                dev = _closed_form_dev(traj, case)
+                items.append(CheckItem("D1 case1 run vs quartic-root closed form",
+                                       dev < 1e-8, dev, 0.0, 1e-8))
+            else:
+                res = residual_check(ModelId.D1, case, traj)
+                items.append(CheckItem("D1 case2 log-implicit antiderivative laws",
+                                       res < 1e-6, res, 0.0, 1e-6))
         return items
 
     def criterion_7(self) -> list[CheckItem]:
@@ -680,40 +655,35 @@ class VerifySession:
 
     # -- driver ---------------------------------------------------------------
 
-    def run_all(self, numbers: Iterable[int] | None = None) -> VerificationReport:
-        """Run the selected criteria (all by default).  The runs they
-        declare in ``_CRITERION_RUNS`` and criterion 4's draws are solved
-        first, as one stacked solve, outside every criterion's
-        ``elapsed_s``."""
-        numbers = sorted(numbers) if numbers else sorted(CRITERION_TITLES)
+    def run_all(self) -> VerificationReport:
+        """Run every criterion that applies to the selected models.  The
+        flow runs they read, not already solved, are solved first, in one
+        stacked solve outside every criterion's ``elapsed_s``: the
+        canonical runs of the selected models and the abelian run, then
+        criterion 4's 20 draws per model."""
         t_start = time.perf_counter()
-        wanted = {key for n in numbers for key in _CRITERION_RUNS.get(n, ())}
-        keys = [key for key, (table, _, _) in _RUNS.items() if key in wanted
-                and (not isinstance(table, ModelId) or table in self.models)
-                and key not in self._cache]
-        draws = []
-        if 4 in numbers:  # criterion 4's 20 initial data per model
-            rng = self._rng(4)
-            draws = [FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4)
-                     for model in self.models for _ in range(20)]
-        if keys or draws:
-            solved = integrate_many([*map(_run_problem, keys), *draws])
-            self._cache.update(zip(keys, solved))
-            if draws:
-                batches = solved[len(keys):]
-                self._batches.update((f"c4_{model.value}", batches[20 * k:20 * (k + 1)])
-                                     for k, model in enumerate(self.models))
+        problems = {key: _run_problem(key) for key, (table, _, _) in _RUNS.items()
+                    if not isinstance(table, ModelId) or table in self.models}
+        rng = self._rng(4)
+        problems.update((f"c4_{model.value}_{k}",
+                         FlowProblem(model, InitialData(tuple(rng.uniform(0.5, 2.0, 5))), 1e4))
+                        for model in self.models for k in range(20))
+        todo = {key: p for key, p in problems.items() if key not in self._cache}
+        if todo:
+            self._cache.update(zip(todo, integrate_many(list(todo.values()))))
         results = []
-        for n in numbers:
+        for n, title in CRITERION_TITLES.items():
             fn: Callable[[], list[CheckItem]] = getattr(self, f"criterion_{n}")
             t0 = time.perf_counter()
             items = fn()
-            if not items:
-                continue  # criterion not applicable to the model filter
-            results.append(CriterionResult(n, CRITERION_TITLES[n], items,
-                                           time.perf_counter() - t0))
-        runs = {key: _run_summary([self._cache[key]]) for key in _RUNS if key in self._cache}
-        runs.update((key, _run_summary(trajs)) for key, trajs in self._batches.items())
+            if items:  # else the criterion does not apply to the model filter
+                results.append(CriterionResult(n, title, items, time.perf_counter() - t0))
+        solves: dict[tuple, int] = {}  # by a solve's facts; its wall time keeps two apart
+        runs = {key: {"solver": traj.meta["solver"], "termination": traj.termination,
+                      "max_drift": traj.meta["max_drift"],
+                      "solve": solves.setdefault(tuple(traj.meta[f] for f in _SOLVE_FACTS),
+                                                 len(solves))}
+                for key, traj in self._cache.items()}
         return VerificationReport(
             criteria=results,
             discrepancies=list(self.discrepancies),
@@ -721,6 +691,7 @@ class VerifySession:
             seed=self.seed,
             elapsed_s=time.perf_counter() - t_start,
             runs=runs,
+            solves=[dict(zip(_SOLVE_FACTS, facts)) for facts in solves],
         )
 
 
@@ -744,10 +715,7 @@ def _solve_k_system() -> tuple[Fraction, ...]:
     return tuple(rows[r][n] for r in range(n))
 
 
-def run_verification(
-    seed: int = 0,
-    models: Iterable[ModelId] | None = None,
-    numbers: Iterable[int] | None = None,
-) -> VerificationReport:
+def run_verification(seed: int = 0,
+                     models: Iterable[ModelId] | None = None) -> VerificationReport:
     """Run the acceptance criteria and return the report."""
-    return VerifySession(seed=seed, models=models).run_all(numbers)
+    return VerifySession(seed=seed, models=models).run_all()

@@ -14,17 +14,24 @@ import numpy as np
 import pytest
 
 from solvflow import verify
-from solvflow.asymptotics import fit_power_law
+from solvflow.asymptotics import ClosedFormSolution, fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.flow import FlowProblem, Trajectory, integrate, integrate_many
-from solvflow.verify import _CRITERION_RUNS, _RUNS, CRITERION_TITLES, VerifySession
+from solvflow.verify import _RUNS, CRITERION_TITLES, VerifySession
 
 RUNTIME_BUDGETS = {1: 1.0, 4: 30.0, 5: 120.0}
 
 
+C4_KEYS = {f"c4_{model.value}_{k}" for model in ModelId for k in range(20)}
+
+
 @pytest.fixture(scope="module")
-def report():
-    session = VerifySession(seed=0)
+def session():
+    return VerifySession(seed=0)
+
+
+@pytest.fixture(scope="module")
+def report(session):
     return session.run_all()
 
 
@@ -85,35 +92,54 @@ def test_d11_order_gated_over_the_long_run(report):
     assert item.passed and item.computed == 0
 
 
-def test_report_tabulates_each_run(report):
+def test_d1_case1_item_is_the_closed_form_deviation(session, report):
+    # the pair relations have their own item; this one holds the run to the
+    # quartic-root law itself
+    traj = session.run("d1_case1_1e6")
+    cf = ClosedFormSolution(ModelId.D1, "case1", InitialData(_RUNS["d1_case1_1e6"][1]))
+    dev = float(np.max(np.abs(traj.coeffs / cf.eval_array(traj.times) - 1.0)))
+    result = next(c for c in report.criteria if c.number == 6)
+    [item] = [i for i in result.items if i.name == "D1 case1 run vs quartic-root closed form"]
+    assert item.computed == dev
+    assert item.passed and item.tolerance == 1e-8
+
+
+def test_report_gives_each_run_and_its_one_solve(report):
     # the canonical runs, criterion 10's abelian run among them, and
-    # criterion 4's draws share one stacked solve
-    c4 = {f"c4_{model.value}" for model in ModelId}
-    assert set(report.runs) == c4 | set(_RUNS)
+    # criterion 4's draws share one stacked solve, which the report gives once
+    assert set(report.runs) == set(_RUNS) | C4_KEYS
     for key, run in report.runs.items():
-        assert set(run) == {"solver", "nfev", "steps", "rejected_steps", "min_step_log_t",
-                            "wall_s", "termination", "batch_size", "max_drift"}, key
+        assert set(run) == {"solver", "termination", "max_drift", "solve"}, key
         assert run["termination"] == "reached_t_end", key
-        assert run["nfev"] > 0 and run["steps"] > 0 and run["wall_s"] > 0.0, key
-        assert run["batch_size"] == len(_RUNS) + 100 == 112, key
-        assert all(math.isfinite(run[k]) for k in ("nfev", "steps", "rejected_steps",
-                                                   "min_step_log_t", "wall_s", "max_drift")), key
-    assert len({(run["nfev"], run["steps"], run["wall_s"]) for run in report.runs.values()}) == 1
-    assert report.runs["c4_D11"]["solver"] == ("DOP853 on log g in log(1+t), "
-                                               "(B,C) -> (s, log|r|)")
-    json.dumps(report.as_dict()["runs"], allow_nan=False)
+        assert run["solve"] == 0, key
+        assert math.isfinite(run["max_drift"]), key
+    assert report.runs["c4_D11_0"]["solver"] == ("DOP853 on log g in log(1+t), "
+                                                 "(B,C) -> (s, log|r|)")
+    [solve] = report.solves
+    assert set(solve) == {"batch_size", "nfev", "steps", "rejected_steps", "min_step_log_t",
+                          "wall_s"}
+    assert solve["batch_size"] == len(_RUNS) + 100 == 112
+    assert solve["nfev"] > 0 and solve["steps"] > 0 and solve["wall_s"] > 0.0
+    assert all(math.isfinite(v) for v in solve.values())
+    doc = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+    assert doc["solves"] == report.solves and len(doc["runs"]) == 112
 
 
-def test_every_run_is_declared_by_a_criterion():
-    declared = {key for keys in _CRITERION_RUNS.values() for key in keys}
-    assert declared == set(_RUNS)
-    assert set(_CRITERION_RUNS) <= set(CRITERION_TITLES)
+def test_a_run_solved_before_run_all_is_its_own_solve():
+    session = VerifySession(seed=0)
+    lazy = session.run("d11_case2_1e4")
+    report = session.run_all()
+    assert len(report.solves) == 2
+    own = report.solves[report.runs["d11_case2_1e4"]["solve"]]
+    assert own["batch_size"] == 1 and own["nfev"] == lazy.meta["nfev"]
+    rest = {run["solve"] for key, run in report.runs.items() if key != "d11_case2_1e4"}
+    assert [report.solves[k]["batch_size"] for k in rest] == [len(_RUNS) + 100 - 1]
+    assert report.passed
 
 
-@pytest.mark.parametrize("number", sorted(CRITERION_TITLES))
-def test_criterion_solves_exactly_its_declared_runs(monkeypatch, number):
-    # run_all solves the declared runs and criterion 4's draws up front, in
-    # one stacked solve, so no criterion falls back to a solve of its own
+def test_run_all_makes_one_stacked_solve(monkeypatch):
+    # run_all solves every run the criteria read up front, in one stacked
+    # solve, so no criterion falls back to a solve of its own
     def no_lazy_solve(problem):
         raise AssertionError(f"lazy solve of {problem}")
 
@@ -126,19 +152,17 @@ def test_criterion_solves_exactly_its_declared_runs(monkeypatch, number):
     monkeypatch.setattr(verify, "integrate", no_lazy_solve)
     monkeypatch.setattr(verify, "integrate_many", counted)
     session = VerifySession(seed=0)
-    report = session.run_all([number])
-    assert report.criteria[0].passed
-    declared = set(_CRITERION_RUNS.get(number, ()))
-    assert set(session._cache) == declared
-    assert set(report.runs) - set(session._batches) == declared
-    draws = 100 if number == 4 else 0
-    assert solves == ([len(declared) + draws] if declared or draws else [])
+    report = session.run_all()
+    assert report.passed
+    assert solves == [len(_RUNS) + 100]
+    assert set(session._cache) == set(report.runs) == set(_RUNS) | C4_KEYS
 
 
 def test_runs_of_unselected_models_are_not_solved():
     session = VerifySession(seed=0, models=[ModelId.D1, ModelId.D5])
-    session.run_all([3, 5, 6, 7, 9])
-    assert set(session._cache) == {"d5_unit_10", "d1_case1_1e6", "d1_case2_1e6"}
+    session.run_all()
+    assert set(session._cache) == {"d5_unit_10", "d1_case1_1e6", "d1_case2_1e6", "abelian_10",
+                                   *(f"c4_{m}_{k}" for m in ("D1", "D5") for k in range(20))}
 
 
 class TestCriterion11:

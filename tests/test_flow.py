@@ -20,7 +20,7 @@ from solvflow.flow import (
     integrate_many,
 )
 from solvflow.liecore import StructureConstants
-from solvflow.verify import _CRITERION_RUNS, _RUNS, VerifySession, _run_problem, _run_summary
+from solvflow.verify import _RUNS, VerifySession, _run_problem
 
 
 def run(model, lam, t_end, **kw):
@@ -416,14 +416,14 @@ class TestIntegrateMany:
         # the reflected runs (d11_case2_10 and d11_case2_1e4) share their
         # initial datum, so one Radau solve over the union of their samples
         # serves both
-        reflected = [key for key, traj in session._cache.items()
-                     if traj.meta["solver"].endswith("(s, log|r|)")]
+        reflected = [key for key in _RUNS
+                     if session._cache[key].meta["solver"].endswith("(s, log|r|)")]
         assert sorted(reflected) == ["d11_case2_10", "d11_case2_1e4"]
         assert len({_RUNS[key][:2] for key in reflected}) == 1
         times = np.unique(np.concatenate([session._cache[key].times for key in reflected]))
         [radau] = radau_reference(terms_of(ModelId.D11), [_run_problem(reflected[0])], times)
-        for key, traj in session._cache.items():
-            problem = _run_problem(key)
+        for key in _RUNS:
+            traj, problem = session._cache[key], _run_problem(key)
             if problem.model is None:
                 continue
             terms = terms_of(problem.model)
@@ -539,7 +539,7 @@ class TestIntegrateMany:
         {"abs_tol": 1e-12},
         {"samples_per_decade": 32},
     ])
-    def test_problems_differing_beyond_initial_data_raise(self, change):
+    def test_problems_differing_beyond_initial_data_share_one_solve(self, change):
         # no two problems are refused a shared solve: a row of explicit
         # brackets shares it with a catalog row or a row of other brackets,
         # and rows that differ in horizon, tolerances or sampling share it
@@ -593,7 +593,8 @@ class TestIntegrateMany:
         # orders, B - C grew from an ulp along the stiff mode: the solve took
         # 90,440 evaluations, overflowed, and had B = 751, C = 2.9 near
         # t = 8.7e5, where the row's own run keeps B = C = 47
-        keys = _CRITERION_RUNS[5]
+        keys = ("d1_case1_1e6", "d1_case2_1e6", "d2_case1_1e6", "d2_generic_1e6",
+                "d3_unit_1e6", "d3_selfsim_1e3", "d11_case1_1e6")
         problems = [dataclasses.replace(_run_problem(key), t_end=1e6) for key in keys]
         batch = integrate_many(problems)  # RuntimeWarnings are errors in this suite
         assert batch[0].meta["nfev"] < 1500  # 1,064
@@ -734,23 +735,6 @@ class TestReflectedCoordinates:
             else:
                 assert np.all(sign * (B - C) >= 0.0)  # ties once r < an ulp, no flips
         assert all(t.meta["solver_rtol"] == problems[0].rel_tol / 10 for t in batch)
-
-    def test_run_summary_sums_the_distinct_solves(self, mixed_d11):
-        # the report's per-run table counts each stacked solve once, although
-        # its rows name different coordinates
-        _, batch, _ = mixed_d11
-        other = run(ModelId.D5, (1, 1, 1, 1, 1), 10.0)
-        summary = _run_summary([*batch, other])
-        assert summary["solver"] == ("DOP853 on log g in log(1+t), (B,C) -> (s, log|r|); "
-                                     "DOP853 on log g in log(1+t)")
-        assert summary["termination"] == "reached_t_end"
-        assert summary["batch_size"] == 3 + 1
-        for key in ("nfev", "steps", "rejected_steps"):
-            assert summary[key] == batch[0].meta[key] + other.meta[key]
-        assert summary["min_step_log_t"] == min(batch[0].meta["min_step_log_t"],
-                                                other.meta["min_step_log_t"])
-        assert summary["wall_s"] == batch[0].meta["wall_s"] + other.meta["wall_s"]
-        assert summary["max_drift"] == max(t.meta["max_drift"] for t in [*batch, other])
 
     def test_reflected_rows_closer_to_oracle_than_plain_solve(self, mixed_d11):
         problems, batch, refs = mixed_d11

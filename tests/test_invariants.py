@@ -95,7 +95,7 @@ class TestDetection:
         assert found == [(2, 1, 1, 2, 0)]
 
     def test_abelian_all_unit_vectors(self):
-        found = detect_monomials_brackets(StructureConstants.zero(5), max_exp=2)
+        found = detect_monomials_brackets(StructureConstants.zero(5))
         assert [m.e for m in found] == [
             (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
             (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
