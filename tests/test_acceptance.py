@@ -158,6 +158,21 @@ def test_run_all_makes_one_stacked_solve(monkeypatch):
     assert set(session._cache) == set(report.runs) == set(_RUNS) | C4_KEYS
 
 
+@pytest.mark.parametrize("number", sorted(CRITERION_TITLES))
+def test_criterion_solves_exactly_its_declared_runs(monkeypatch, session, report, number):
+    # every run a criterion reads is in run_all's one stacked solve: after
+    # it, the criterion makes no solve of its own and gives the same items
+    def no_solve(problems):
+        raise AssertionError(f"solve of {problems}")
+
+    monkeypatch.setattr(verify, "integrate", no_solve)
+    monkeypatch.setattr(verify, "integrate_many", no_solve)
+    items = getattr(session, f"criterion_{number}")()
+    [result] = [c for c in report.criteria if c.number == number]
+    assert [repr(i) for i in items] == [repr(i) for i in result.items]
+    assert result.passed
+
+
 def test_runs_of_unselected_models_are_not_solved():
     session = VerifySession(seed=0, models=[ModelId.D1, ModelId.D5])
     session.run_all()

@@ -539,7 +539,7 @@ class TestIntegrateMany:
         {"abs_tol": 1e-12},
         {"samples_per_decade": 32},
     ])
-    def test_problems_differing_beyond_initial_data_share_one_solve(self, change):
+    def test_problems_differing_beyond_initial_data_raise(self, change):
         # no two problems are refused a shared solve: a row of explicit
         # brackets shares it with a catalog row or a row of other brackets,
         # and rows that differ in horizon, tolerances or sampling share it
