@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog
-from .catalog import InitialData, ModelId
+from .catalog import ModelId
+from .curvature import DiagonalMetric
 from .flow import Trajectory, component_index
 
 __all__ = [
@@ -83,15 +84,15 @@ class ClosedFormSolution:
 
     model: ModelId
     case: str
-    lam: InitialData
+    lam: DiagonalMetric
 
     def __post_init__(self):
         model = ModelId(self.model)
         object.__setattr__(self, "model", model)
         if self.case not in catalog.case_labels(model):
             raise ValueError(f"unknown case {self.case!r} for {model.value}")
-        if not isinstance(self.lam, InitialData):
-            object.__setattr__(self, "lam", InitialData(tuple(self.lam)))
+        if not isinstance(self.lam, DiagonalMetric):
+            object.__setattr__(self, "lam", DiagonalMetric(tuple(self.lam)))
         self._check_preconditions()
 
     def _check_preconditions(self):
@@ -102,7 +103,7 @@ class ClosedFormSolution:
     def eval_array(self, t) -> np.ndarray:
         """Coefficients at times t (scalar or array); shape (..., 5)."""
         t = np.asarray(t, dtype=float)
-        l1, l2, l3, l4, l5 = self.lam.lam
+        l1, l2, l3, l4, l5 = self.lam.coeffs
         if self.model is ModelId.D5:
             s = 1.0 + 3.0 * l1 * t / (l2 * l3)
             # AB and AC are conserved, so B and C grow as A decays
@@ -117,7 +118,7 @@ class ClosedFormSolution:
                 axis=-1,
             )
         if self.model is ModelId.D1 and self.case == "case1":
-            c = d1_pair_constants(self.lam.lam)
+            c = d1_pair_constants(self.lam.coeffs)
             om, ep = c["omega"], c["eps"]
             rb = 4.0 * l1 * l3 * math.sqrt(om) / (l2**2 * l4)
             rc = 4.0 * l1 * l2 / (l3**2 * l5 * math.sqrt(om))
@@ -136,9 +137,8 @@ class ClosedFormSolution:
         if self.model is ModelId.D3 and self.case == "self_similar":
             c = (2.0 / 11.0) * l2 * l5 / l1
             powers = np.array([-4.0, -1.0, 2.0, 5.0, 8.0]) / 11.0
-            lam = np.array(self.lam.lam)
             base = np.asarray(1.0 + t / c)
-            return lam * np.power(base[..., None], powers)
+            return self.lam.array * np.power(base[..., None], powers)
         raise ValueError(
             f"{self.model.value} {self.case}: no explicit time law "
             "(verify via residual_check instead)"
@@ -212,15 +212,9 @@ def fit_power_law(
 # exact-relation residuals
 # ---------------------------------------------------------------------------
 
-def _d1_implicit_f(x: np.ndarray, k: float) -> np.ndarray:
-    """Antiderivative of x^2 sqrt(x^2 - k); appears in the D1 implicit law
-    F(B) = rate*t + const."""
-    root = np.sqrt(x * x - k)
-    return 0.125 * (root * (2.0 * x**3 - k * x) - k * k * np.log(x + root))
-
-
 def _d1_implicit_f_scaled(x: np.ndarray, om: float, k: float) -> np.ndarray:
-    """Antiderivative of x^2 sqrt(om x^2 + k) (the C/E variant)."""
+    """Antiderivative of x^2 sqrt(om x^2 + k); appears in the D1 implicit
+    laws F(coeff) = rate*t + const, with om = 1 and -k for B and D."""
     root = np.sqrt(om * om * x * x + om * k)
     return (
         root * (2.0 * om * x**3 + k * x) - k * k * np.log(om * x + root)
@@ -249,13 +243,13 @@ def residual_check(model: ModelId, case: str, traj: Trajectory) -> float:
     if traj.model is not None and traj.model is not model:
         raise ValueError(f"trajectory belongs to {traj.model}, not {model.value}")
     lam = traj.coeffs[0]
-    observed = catalog.classify_case(model, InitialData(tuple(lam)))
+    observed = catalog.classify_case(model, DiagonalMetric(tuple(lam)))
     if observed != case:
         raise ValueError(
             f"trajectory initial data classifies as {observed!r}, not {case!r}"
         )
     t = traj.times
-    A, B, C, D, E = (traj.coeffs[:, i] for i in range(5))
+    A, B, C, D, E = traj.coeffs.T
 
     if model is ModelId.D1:
         cst = d1_pair_constants(lam)
@@ -265,9 +259,9 @@ def residual_check(model: ModelId, case: str, traj: Trajectory) -> float:
         if case == "case2":
             l1, l2, l3, l4, l5 = lam
             laws = [
-                (_d1_implicit_f(B, k), l1 * l2**2 * l3 * math.sqrt(om) / l4),
+                (_d1_implicit_f_scaled(B, 1.0, -k), l1 * l2**2 * l3 * math.sqrt(om) / l4),
                 (_d1_implicit_f_scaled(C, om, k), l1 * l2 * l3**2 / l5),
-                (_d1_implicit_f(D, ell), l1 * l4**2 * l5 * math.sqrt(ep) / l2),
+                (_d1_implicit_f_scaled(D, 1.0, -ell), l1 * l4**2 * l5 * math.sqrt(ep) / l2),
                 (_d1_implicit_f_scaled(E, ep, ell), l1 * l4 * l5**2 / l3),
             ]
             for series, rate in laws:

@@ -11,7 +11,9 @@ contact structure, given in two bases:
 
 The catalog also records, per model, the parameter assignment that makes
 the Ricci tensor of a diagonal metric diagonal, the known conserved
-monomials, and the expected long-time power-law exponents.
+monomials, and the expected long-time power-law exponents.  A flow's
+initial data is a :class:`solvflow.curvature.DiagonalMetric`, which this
+module also names ``InitialData``.
 
 Classification labels D4 and D6-D10 belong to families without the
 structure treated here and are deliberately absent.
@@ -26,6 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .curvature import COMPONENTS, DiagonalMetric
 from .liecore import BasisChange, StructureConstants, change_basis
 
 __all__ = [
@@ -36,7 +39,6 @@ __all__ = [
     "SpecialInvariant",
     "build_model",
     "x_basis",
-    "param_names",
     "params_from_basis_change",
     "constrained_params",
     "model_invariants",
@@ -67,23 +69,8 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Initial metric coefficients (lambda_1, ..., lambda_5), all > 0."""
-
-    lam: tuple[float, float, float, float, float]
-
-    def __post_init__(self):
-        lam = tuple(float(x) for x in self.lam)
-        if len(lam) != 5:
-            raise ValueError("expected five initial coefficients")
-        if any(not math.isfinite(x) or x <= 0 for x in lam):
-            raise ValueError(f"initial coefficients must be finite and strictly positive: {lam}")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.lam)
+# a flow's initial data is a metric, which callers build under this name too
+InitialData = DiagonalMetric
 
 
 @dataclass(frozen=True)
@@ -98,8 +85,8 @@ class InvariantMonomial:
 
     def __post_init__(self):
         e = tuple(int(x) for x in self.e)
-        if len(e) != 5:
-            raise ValueError("exponent vector must have length 5")
+        if len(e) != len(COMPONENTS):
+            raise ValueError(f"exponent vector must have length {len(COMPONENTS)}")
         nz = [x for x in e if x != 0]
         if not nz:
             raise ValueError("exponent vector must not be zero")
@@ -120,13 +107,7 @@ class InvariantMonomial:
         return float(np.max(np.abs(vals / vals[0] - 1.0)))
 
     def __str__(self) -> str:
-        names = "ABCDE"
-        parts = []
-        for n, p in zip(names, self.e):
-            if p == 0:
-                continue
-            parts.append(n if p == 1 else f"{n}^{p}")
-        return "*".join(parts)
+        return "*".join(n if p == 1 else f"{n}^{p}" for n, p in zip(COMPONENTS, self.e) if p)
 
 
 @dataclass(frozen=True)
@@ -165,10 +146,6 @@ _PARAM_NAMES: dict[ModelId, tuple[str, ...]] = {
 }
 
 
-def param_names(model: ModelId) -> tuple[str, ...]:
-    return _PARAM_NAMES[ModelId(model)]
-
-
 def _check_params(model: ModelId, params: Mapping[str, float]) -> dict[str, float]:
     names = _PARAM_NAMES[model]
     unknown = set(params) - set(names)
@@ -197,7 +174,7 @@ def x_basis(model: ModelId, eps: float = 1.0) -> StructureConstants:
         if eps not in (1.0, -1.0):
             raise ValueError("D11 requires eps in {+1, -1}")
         entries = {(1, 2, 0): 1.0, (1, 4, 2): 1.0, (2, 4, 1): -1.0, (3, 4, 0): eps}
-    return StructureConstants.from_brackets(5, entries)
+    return StructureConstants.from_brackets(len(COMPONENTS), entries)
 
 
 def build_model(model: ModelId, params: Mapping[str, float]) -> StructureConstants:
@@ -269,7 +246,7 @@ def build_model(model: ModelId, params: Mapping[str, float]) -> StructureConstan
             (3, 4, 1): rho,
             (3, 4, 2): s,
         }
-    return StructureConstants.from_brackets(5, entries)
+    return StructureConstants.from_brackets(len(COMPONENTS), entries)
 
 
 def params_from_basis_change(
@@ -353,13 +330,13 @@ def _mono(*e: int) -> InvariantMonomial:
 
 def _d11_sq_diff(coeffs: np.ndarray) -> np.ndarray:
     g = np.asarray(coeffs, dtype=float)
-    A, B, C, D, E = (g[..., i] for i in range(5))
+    A, B, C, D, E = np.moveaxis(g, -1, 0)
     return A**2 * E**2 * (B**2 - C**2)
 
 
 def _d11_case2_ratio(coeffs: np.ndarray) -> np.ndarray:
     g = np.asarray(coeffs, dtype=float)
-    A, B, C, D, E = (g[..., i] for i in range(5))
+    A, B, C, D, E = np.moveaxis(g, -1, 0)
     return (B + C) * D**2 / ((B - C) * E**2)
 
 
@@ -435,7 +412,7 @@ def _close(a: float, b: float, rel: float = _REL_EQ) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
-def classify_case(model: ModelId, initial: InitialData) -> str:
+def classify_case(model: ModelId, initial: DiagonalMetric) -> str:
     """Assign initial data to the case whose analysis applies to it.
 
     D1: case1 iff l2*l4 = l3*l5.  D2: case1 iff B^2 = AC initially, i.e.
@@ -444,7 +421,7 @@ def classify_case(model: ModelId, initial: InitialData) -> str:
     symmetry).  D5 has a single exact case.
     """
     model = ModelId(model)
-    l1, l2, l3, l4, l5 = initial.lam
+    l1, l2, l3, l4, l5 = initial.coeffs
     if model is ModelId.D1:
         return "case1" if _close(l2 * l4, l3 * l5) else "case2"
     if model is ModelId.D2:

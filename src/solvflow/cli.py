@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import catalog
-from .catalog import InitialData, ModelId
+from .catalog import ModelId
 from .asymptotics import fit_power_law
+from .curvature import COMPONENTS, DiagonalMetric
 from .flow import FlowProblem, Trajectory, integrate
 from .invariants import detect_monomials
 from .verify import run_verification
@@ -44,9 +45,9 @@ def _model_arg(value: str) -> ModelId:
         )
 
 
-def _lambda_arg(value: str) -> InitialData:
+def _lambda_arg(value: str) -> DiagonalMetric:
     try:
-        return InitialData(tuple(float(p) for p in value.split(",")))
+        return DiagonalMetric(tuple(float(p) for p in value.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{value!r}: {exc}")
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a power law to one trajectory component")
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--component", required=True, choices=tuple("ABCDE"))
+    p.add_argument("--component", required=True, choices=tuple(COMPONENTS))
     p.add_argument("--window", type=_window_arg, default=None, metavar="lo,hi")
 
     p = sub.add_parser("check", help="run the verification suite")

@@ -29,6 +29,7 @@ import numpy as np
 from .liecore import StructureConstants
 
 __all__ = [
+    "COMPONENTS",
     "DiagonalMetric",
     "RicciForm",
     "DiagonalityViolation",
@@ -44,7 +45,7 @@ __all__ = [
 
 
 class NonpositiveMetricError(ValueError):
-    """A diagonal metric coefficient is zero or negative."""
+    """A diagonal metric coefficient is not finite and strictly positive."""
 
 
 class DiagonalityViolation(RuntimeError):
@@ -52,19 +53,46 @@ class DiagonalityViolation(RuntimeError):
     ansatz is inconsistent (the bracket parameters are unconstrained)."""
 
 
+# the names of the metric coefficients, in order; their number is the dimension
+COMPONENTS = "ABCDE"
+
+
+def _check_coeffs(coeffs) -> None:
+    """Refuse metric coefficients unless every one is finite and > 0: one
+    metric's tuple of floats, compared as scalars, or an array with one
+    metric per row, whose first bad row is named."""
+    if isinstance(coeffs, tuple):
+        if all(0.0 < x < math.inf for x in coeffs):  # False for NaN too
+            return
+        bad = coeffs
+    else:
+        ok = (coeffs > 0.0) & (coeffs < np.inf)
+        if ok.all():
+            return
+        k = int(np.argmin(ok.all(axis=-1)))
+        bad = f"row {k} is {tuple(coeffs[k].tolist())}"
+    raise NonpositiveMetricError(
+        f"metric coefficients must be finite and strictly positive: {bad}")
+
+
 @dataclass(frozen=True)
 class DiagonalMetric:
-    """Coefficients (A, B, C, D, E) of a diagonal left-invariant metric."""
+    """Coefficients (A, B, C, D, E) of a diagonal left-invariant metric, all
+    finite and > 0.  It is also a flow's initial data, under the name
+    ``catalog.InitialData``, whose ``lam`` reads ``coeffs``."""
 
     coeffs: tuple[float, float, float, float, float]
 
     def __post_init__(self):
         coeffs = tuple(float(x) for x in self.coeffs)
-        if len(coeffs) != 5:
-            raise ValueError("expected five metric coefficients")
-        if any(not np.isfinite(x) or x <= 0.0 for x in coeffs):
-            raise NonpositiveMetricError(f"metric coefficients must be positive: {coeffs}")
+        if len(coeffs) != len(COMPONENTS):
+            raise ValueError(f"expected {len(COMPONENTS)} metric coefficients, got {len(coeffs)}")
+        _check_coeffs(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def lam(self) -> tuple[float, ...]:
+        return self.coeffs
 
     @property
     def array(self) -> np.ndarray:
@@ -72,7 +100,7 @@ class DiagonalMetric:
 
     @classmethod
     def unit(cls) -> "DiagonalMetric":
-        return cls((1.0, 1.0, 1.0, 1.0, 1.0))
+        return cls((1.0,) * len(COMPONENTS))
 
 
 @dataclass(frozen=True)
@@ -83,8 +111,9 @@ class RicciForm:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (5, 5):
-            raise ValueError("Ricci form must be a symmetric 5x5 matrix")
+        n = len(COMPONENTS)
+        if m.shape != (n, n):
+            raise ValueError(f"Ricci form must be a symmetric {n}x{n} matrix")
         _check_forms(m)
         m = m.copy()
         m.flags.writeable = False
@@ -106,7 +135,7 @@ def _check_forms(m: np.ndarray) -> None:
     whose transpose is the same sum with its terms swapped, so exact
     symmetry is a fact of the formula, not a tolerance."""
     if not (m == m.swapaxes(-1, -2)).all():
-        raise ValueError("Ricci form must be a symmetric 5x5 matrix")
+        raise ValueError("Ricci form must be a symmetric matrix")
     if not np.isfinite(m).all():
         raise ValueError("Ricci form entries must be finite")
 
@@ -172,17 +201,14 @@ def ricci_forms(sc: StructureConstants, coeffs) -> np.ndarray:
     ``coeffs`` is an (N, 5) array of metric coefficients, one metric per
     row; the result is the read-only (N, 5, 5) array whose row k is
     ``ricci_tensor(sc, DiagonalMetric(coeffs[k])).entries``.  Raises
-    NonpositiveMetricError if any coefficient is not finite and positive.
+    NonpositiveMetricError, naming the first bad row, if any coefficient is
+    not finite and positive.
     """
     g = np.asarray(coeffs, dtype=float)
     if g.ndim != 2 or g.shape[1] != sc.dim:
         raise ValueError(f"expected an (N, {sc.dim}) array of metric coefficients, "
                          f"got shape {g.shape}")
-    ok = (g > 0.0) & (g < np.inf)  # False for NaN too
-    if not ok.all():
-        k = int(np.argmin(ok.all(axis=1)))
-        raise NonpositiveMetricError(
-            f"metric coefficients must be positive: row {k} is {tuple(g[k].tolist())}")
+    _check_coeffs(g)
     m = _ricci_matrix(_unit_frame_tensor(sc.c, g))
     _check_forms(m)
     m.flags.writeable = False

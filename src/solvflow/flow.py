@@ -120,8 +120,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import catalog
-from .catalog import InitialData, ModelId
-from .curvature import FlowTerms, compile_flow
+from .catalog import ModelId
+from .curvature import COMPONENTS, DiagonalMetric, FlowTerms, _check_coeffs, compile_flow
 from .liecore import StructureConstants, jacobi_residual
 
 __all__ = [
@@ -132,7 +132,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = ("t", "A", "B", "C", "D", "E")
+CSV_HEADER = ("t", *COMPONENTS)
 
 log = logging.getLogger(__name__)
 
@@ -212,7 +212,8 @@ class FlowProblem:
 
     The table is a catalog ``model`` with its ``params`` (None for the
     constrained ones) or explicit five-dimensional ``brackets``, which take
-    no ``params``; anything else raises here, before any solve.
+    no ``params``; anything else raises here, before any solve.  ``initial``
+    is a :class:`~solvflow.curvature.DiagonalMetric` or its coefficients.
 
     The flow is solved for log g, or for coordinates that reflect a pair of
     its components (see the module docstring), so ``rel_tol`` and
@@ -220,17 +221,18 @@ class FlowProblem:
     They bound the local error of each step, for each row on its own: the
     solver accepts a step only when every row's DOP853 error estimate is
     within a tenth of that row's own ``rel_tol`` and ``abs_tol``, whatever
-    rows it is stacked with and whatever their tolerances and ``t_end``.  The global error that leaves is measured, not bounded: in the
-    module docstring's table it is below that of a DOP853 run in t at
-    ``rel_tol`` and ``abs_tol``.  ``rel_tol`` must be at least 10 times
-    scipy's floor of 100 machine epsilons (about 2.2e-13), to which scipy
-    would otherwise raise the solver's tolerance.
+    rows it is stacked with and whatever their tolerances and ``t_end``.
+    The global error that leaves is measured, not bounded: in the module
+    docstring's table it is below that of a DOP853 run in t at ``rel_tol``
+    and ``abs_tol``.  ``rel_tol`` must be at least 10 times scipy's floor
+    of 100 machine epsilons (about 2.2e-13), to which scipy would otherwise
+    raise the solver's tolerance.
     Diagonality has no control: it is decided exactly from the brackets
     (see :func:`solvflow.curvature.compile_flow`) before the run starts.
     """
 
     model: ModelId | None
-    initial: InitialData
+    initial: DiagonalMetric
     t_end: float
     params: Mapping[str, float] | None = None  # None -> constrained parameters
     rel_tol: float = 1e-11
@@ -245,7 +247,8 @@ class FlowProblem:
             object.__setattr__(self, "model", ModelId(self.model))
         elif self.params is not None:
             raise ValueError("explicit brackets take no params")
-        elif not isinstance(self.brackets, StructureConstants) or self.brackets.dim != 5:
+        elif (not isinstance(self.brackets, StructureConstants)
+              or self.brackets.dim != len(COMPONENTS)):
             raise ValueError("brackets must be a five-dimensional StructureConstants")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
@@ -259,8 +262,8 @@ class FlowProblem:
                              f"raises a relative tolerance below {_RTOL_FLOOR:.3g}")
         if self.samples_per_decade < 1:
             raise ValueError("sampling grid too coarse")
-        if not isinstance(self.initial, InitialData):
-            object.__setattr__(self, "initial", InitialData(tuple(self.initial)))
+        if not isinstance(self.initial, DiagonalMetric):
+            object.__setattr__(self, "initial", DiagonalMetric(tuple(self.initial)))
 
     def resolved_params(self) -> dict[str, float] | None:
         if self.model is None:
@@ -299,16 +302,15 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         g = np.asarray(self.coeffs, dtype=float)
-        if t.ndim != 1 or g.shape != (t.size, 5):
+        if t.ndim != 1 or g.shape != (t.size, len(COMPONENTS)):
             raise ValueError("trajectory arrays have inconsistent shapes")
         if t.size == 0:
             raise ValueError("trajectory must contain at least one sample")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
-            raise ValueError("sample times and coefficients must be finite")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("sample times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if np.any(g <= 0):
-            raise ValueError("sampled metrics must be positive")
+        _check_coeffs(g)
         for name, arr in (("times", t), ("coeffs", g)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -350,7 +352,7 @@ class Trajectory:
         data = np.array(rows)
         return cls(
             times=data[:, 0],
-            coeffs=data[:, 1:6],
+            coeffs=data[:, 1:],
             termination="unknown",
         )
 
@@ -365,7 +367,7 @@ class Trajectory:
                 "t": [float(x) for x in self.times],
                 **{
                     name: [float(x) for x in self.coeffs[:, k]]
-                    for k, name in enumerate("ABCDE")
+                    for k, name in enumerate(COMPONENTS)
                 },
             },
         }
@@ -382,12 +384,12 @@ class Trajectory:
         s = doc.get("samples") if isinstance(doc, dict) else None
         if not isinstance(s, dict):
             raise ValueError(f"{path}: expected a JSON object with a 'samples' object")
-        missing = [name for name in ("t", *"ABCDE") if name not in s]
+        missing = [name for name in ("t", *COMPONENTS) if name not in s]
         if missing:
             raise ValueError(f"{path}: 'samples' has no {', '.join(map(repr, missing))}")
         return cls(
             times=np.asarray(s["t"], dtype=float),
-            coeffs=np.column_stack([s[name] for name in "ABCDE"]),
+            coeffs=np.column_stack([s[name] for name in COMPONENTS]),
             termination=doc.get("termination", "unknown"),
             model=ModelId(doc["model"]) if doc.get("model") else None,
             params=doc.get("params"),
@@ -398,10 +400,10 @@ class Trajectory:
 def component_index(which: int | str) -> int:
     if isinstance(which, str):
         try:
-            return "ABCDE".index(which.upper())
+            return COMPONENTS.index(which.upper())
         except ValueError:
             raise ValueError(f"unknown component {which!r}") from None
-    if not 0 <= int(which) < 5:
+    if not 0 <= int(which) < len(COMPONENTS):
         raise ValueError("component index out of range")
     return int(which)
 
@@ -494,7 +496,7 @@ class _Block:
 
     @property
     def reflections(self) -> list[str]:
-        return [f"({'ABCDE'[i]},{'ABCDE'[j]}) -> (s, log|r|)" for i, j in self.pairs]
+        return [f"({COMPONENTS[i]},{COMPONENTS[j]}) -> (s, log|r|)" for i, j in self.pairs]
 
     @property
     def label(self) -> str:

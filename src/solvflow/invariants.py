@@ -223,7 +223,7 @@ def ratio_diagnostics(model: ModelId, traj: Trajectory) -> list[RatioDiagnostic]
     if traj.model is not None and traj.model is not model:
         raise ValueError(f"trajectory belongs to {traj.model}, not {model.value}")
     t = traj.times
-    A, B, C, D, E = (traj.coeffs[:, i] for i in range(5))
+    A, B, C, D, E = traj.coeffs.T
     if model is ModelId.D2:
         return [RatioDiagnostic("AC/B^2", t, A * C / B**2, 1.0)]
     if model is ModelId.D3:

@@ -128,12 +128,12 @@ class TestD1Relations:
 
     def test_implicit_antiderivative_slope(self):
         # dF/dB must equal B^2 sqrt(B^2 - k): finite-difference oracle
-        from solvflow.asymptotics import _d1_implicit_f, _d1_implicit_f_scaled
+        from solvflow.asymptotics import _d1_implicit_f_scaled
         k = -0.7
         for b in (0.9, 1.7, 3.1):
             h = 1e-6
-            num = (_d1_implicit_f(np.array([b + h]), k)[0]
-                   - _d1_implicit_f(np.array([b - h]), k)[0]) / (2 * h)
+            num = (_d1_implicit_f_scaled(np.array([b + h]), 1.0, -k)[0]
+                   - _d1_implicit_f_scaled(np.array([b - h]), 1.0, -k)[0]) / (2 * h)
             assert num == pytest.approx(b * b * math.sqrt(b * b - k), rel=1e-8)
         om = 0.6
         for c in (1.1, 2.3):

@@ -208,6 +208,17 @@ class TestMetadata:
         with pytest.raises(ValueError):
             InitialData((1, 1, -1, 1, 1))
 
+    def test_initial_data_is_the_diagonal_metric(self):
+        import solvflow
+        from solvflow import curvature
+
+        assert catalog.InitialData is curvature.DiagonalMetric is solvflow.InitialData
+        g = InitialData((1, 2, 3, 4, 5))
+        assert g.lam == g.coeffs == (1.0, 2.0, 3.0, 4.0, 5.0)
+        with pytest.raises(AttributeError):
+            g.lam = (1.0,) * 5
+        assert not hasattr(catalog, "param_names")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_initial_data_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from solvflow import cli
 from solvflow.asymptotics import fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.cli import main
-from solvflow.flow import FlowProblem, Trajectory, integrate
+from solvflow.curvature import COMPONENTS
+from solvflow.flow import CSV_HEADER, FlowProblem, Trajectory, integrate
 
 
 def test_list(capsys):
@@ -103,6 +105,21 @@ def test_fit_round_trip_bit_identical(tmp_path, capsys):
     printed = next(l for l in out.splitlines() if l.startswith("exponent:"))
     assert float(printed.split()[1]) == in_process.exponent
     assert in_process.exponent == pytest.approx(4 / 7, abs=0.01)
+
+
+def test_component_names_are_defined_once(tmp_path):
+    assert COMPONENTS == "ABCDE"
+    assert CSV_HEADER == ("t", *COMPONENTS)
+    t = np.array([0.0, 1.0])
+    Trajectory(times=t, coeffs=np.ones((2, len(COMPONENTS))),
+               termination="reached_t_end").write_json(tmp_path / "run.json")
+    samples = json.loads((tmp_path / "run.json").read_text())["samples"]
+    assert list(samples) == ["t", *COMPONENTS]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    fit = subparsers.choices["fit"]
+    (component,) = [a for a in fit._actions if "--component" in a.option_strings]
+    assert component.choices == tuple(COMPONENTS)
 
 
 def test_fit_nonfinite_cell_usage_error(tmp_path, capsys):

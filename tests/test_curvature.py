@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solvflow import catalog
-from solvflow.catalog import ModelId, build_model, constrained_params
+from solvflow.catalog import InitialData, ModelId, build_model, constrained_params
 from solvflow.curvature import (
     DiagonalityViolation,
     DiagonalMetric,
@@ -18,6 +19,7 @@ from solvflow.curvature import (
     ricci_quadratic,
     ricci_tensor,
 )
+from solvflow.flow import Trajectory
 from solvflow.liecore import StructureConstants
 
 
@@ -207,6 +209,34 @@ class TestRicciForms:
         for shape in ((5,), (3, 4), (2, 3, 5)):
             with pytest.raises(ValueError, match="metric coefficients"):
                 ricci_forms(sc, np.ones(shape))
+
+
+class TestCoefficientValidity:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_one_rule_for_a_metric_a_stack_and_samples(self, bad):
+        # initial data, a stack of metrics and a trajectory's samples are
+        # refused by the same rule, and a stack by its first bad row
+        lam = (1.0, 2.0, 1.5, bad, 1.2)
+        stack = np.ones((4, 5))
+        stack[2] = lam
+        stack[3, 0] = bad
+        rule = "finite and strictly positive: "
+        with pytest.raises(NonpositiveMetricError, match=rule + r"\(1.0, 2.0, 1.5"):
+            InitialData(lam)
+        with pytest.raises(NonpositiveMetricError, match=rule + "row 2 is"):
+            ricci_forms(constrained(ModelId.D1), stack)
+        with pytest.raises(NonpositiveMetricError, match=rule + "row 2 is"):
+            Trajectory(times=np.arange(4.0), coeffs=stack, termination="reached_t_end")
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_wrong_length_refused(self, n):
+        with pytest.raises(ValueError, match=f"expected 5 metric coefficients, got {n}"):
+            InitialData((1.0,) * n)
+        with pytest.raises(ValueError, match="metric coefficients"):
+            ricci_forms(constrained(ModelId.D1), np.ones((3, n)))
+        with pytest.raises(ValueError, match="shapes"):
+            Trajectory(times=np.arange(3.0), coeffs=np.ones((3, n)),
+                       termination="reached_t_end")
 
 
 class TestRicciFormSymmetry:
