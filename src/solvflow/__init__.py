@@ -13,6 +13,7 @@ from .catalog import (
     InvariantMonomial,
     ModelId,
     build_model,
+    build_models,
     classify_case,
     constrained_params,
     describe,

@@ -29,7 +29,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .curvature import COMPONENTS, DiagonalMetric
-from .liecore import BasisChange, StructureConstants, change_basis
+from .liecore import (BasisChange, StructureConstants, _bracket_tensor, _check_tensors,
+                      change_basis)
 
 __all__ = [
     "ModelId",
@@ -38,6 +39,7 @@ __all__ = [
     "ModelInvariantSet",
     "SpecialInvariant",
     "build_model",
+    "build_models",
     "x_basis",
     "params_from_basis_change",
     "constrained_params",
@@ -101,10 +103,15 @@ class InvariantMonomial:
         g = np.asarray(coeffs, dtype=float)
         return np.exp(np.log(g) @ np.array(self.e, dtype=float))
 
-    def drift(self, coeffs: np.ndarray) -> float:
-        """Worst relative drift max |v/v0 - 1| of the value along samples."""
+    def drift(self, coeffs: np.ndarray) -> float | np.ndarray:
+        """Worst relative drift max |v/v0 - 1| of the value along samples.
+
+        ``coeffs`` is one trajectory's samples (S, 5), which gives a float,
+        or a stack (..., S, 5) of trajectories on one sample grid, which
+        gives an array (...) of each one's drift, equal to its own."""
         vals = self.value(coeffs)
-        return float(np.max(np.abs(vals / vals[0] - 1.0)))
+        worst = np.max(np.abs(vals / vals[..., :1] - 1.0), axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
     def __str__(self) -> str:
         return "*".join(n if p == 1 else f"{n}^{p}" for n, p in zip(COMPONENTS, self.e) if p)
@@ -146,16 +153,20 @@ _PARAM_NAMES: dict[ModelId, tuple[str, ...]] = {
 }
 
 
-def _check_params(model: ModelId, params: Mapping[str, float]) -> dict[str, float]:
+def _check_params(model: ModelId, params: Mapping[str, float], stacked: bool = False) -> dict:
+    """All of the model's parameters, the missing ones 0 (eps 1): floats for
+    one table, or arrays over a stack of tables if ``stacked``."""
     names = _PARAM_NAMES[model]
-    unknown = set(params) - set(names)
+    unknown = params.keys() - names
     if unknown:
         raise ValueError(f"{model.value} has no parameters {sorted(unknown)}")
-    full = {n: float(params.get(n, 0.0)) for n in names}
+    number = (lambda x: np.asarray(x, dtype=float)) if stacked else float
+    full = {n: number(params.get(n, 0.0)) for n in names}
     if model is ModelId.D11:
-        full["eps"] = float(params.get("eps", 1.0))
-        if full["eps"] not in (1.0, -1.0):
-            raise ValueError(f"D11 requires eps in {{+1, -1}}, got {full['eps']}")
+        eps = full["eps"] = number(params.get("eps", 1.0))
+        bad = [e for e in (np.unique(eps).tolist() if stacked else (eps,)) if e not in (1.0, -1.0)]
+        if bad:
+            raise ValueError(f"D11 requires eps in {{+1, -1}}, got {bad[0]}")
     return full
 
 
@@ -180,7 +191,29 @@ def x_basis(model: ModelId, eps: float = 1.0) -> StructureConstants:
 def build_model(model: ModelId, params: Mapping[str, float]) -> StructureConstants:
     """Y-basis structure constants for the given combined parameters."""
     model = ModelId(model)
-    p = _check_params(model, params)
+    return StructureConstants(_bracket_tensor(len(COMPONENTS),
+                                              _entries(model, _check_params(model, params))))
+
+
+def build_models(model: ModelId, params: Mapping[str, object]) -> np.ndarray:
+    """Y-basis structure constants of a stack of parameter values, as one
+    array (..., 5, 5, 5).  Each value of ``params`` is an array over the
+    stack, or a number that all of its tables share, and each table is
+    :func:`build_model`'s at its own values, bitwise.  The stack is held to
+    the rule of :class:`~solvflow.liecore.StructureConstants`: finite and
+    antisymmetric, or a ValueError that names the first table that is not."""
+    model = ModelId(model)
+    p = _check_params(model, params, stacked=True)
+    shape = np.broadcast_shapes(*(v.shape for v in p.values()))
+    c = _bracket_tensor(len(COMPONENTS), _entries(model, p), shape)
+    c = np.ascontiguousarray(np.moveaxis(c, (0, 1, 2), (-3, -2, -1)))
+    _check_tensors(c)
+    return c
+
+
+def _entries(model: ModelId, p: Mapping[str, object]) -> dict[tuple[int, int, int], object]:
+    """The model's Y-basis brackets {(i, j, k): coeff} at the parameters
+    ``p``, numbers or arrays over a stack: the one table of each model."""
     if model is ModelId.D1:
         a, b, g = p["alpha"], p["beta"], p["gamma"]
         entries = {
@@ -246,12 +279,11 @@ def build_model(model: ModelId, params: Mapping[str, float]) -> StructureConstan
             (3, 4, 1): rho,
             (3, 4, 2): s,
         }
-    return StructureConstants.from_brackets(len(COMPONENTS), entries)
+    return entries
 
 
-def params_from_basis_change(
-    model: ModelId, a: Sequence[float], eps: float = 1.0
-) -> dict[str, float]:
+def params_from_basis_change(model: ModelId, a: Sequence[float] | np.ndarray,
+                             eps: float | np.ndarray = 1.0) -> dict:
     """Combined parameters induced by the unitriangular change Y_i = L_i^k X_k
     with subdiagonal entries a = (a1, ..., a10).
 
@@ -260,9 +292,15 @@ def params_from_basis_change(
     ``change_basis(x_basis(model), BasisChange.from_offdiag(a))``; the
     bilinear expansion is straightforward but easy to mistype, and the
     equality is tested against the tensor transformation directly.
+
+    For one change, ``a`` has 10 entries and the parameters are floats.
+    For N changes, ``a`` is (N, 10), ``eps`` is a number or (N,), and each
+    parameter is an (N,) array whose row k is the parameter of row k of
+    ``a``, bitwise: the same formulas act elementwise.
     """
     model = ModelId(model)
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = (float(x) for x in a)
+    a = np.asarray(a, dtype=float)
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = a.tolist() if a.ndim == 1 else a.T.copy()
     if model is ModelId.D1:
         return {"alpha": a10, "beta": a5, "gamma": a6 * a10 - a7 + a8}
     if model is ModelId.D2:

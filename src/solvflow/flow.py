@@ -320,10 +320,6 @@ class Trajectory:
         return self.times.size
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.coeffs[0].copy()
-
-    @property
     def final(self) -> np.ndarray:
         return self.coeffs[-1].copy()
 
@@ -333,20 +329,26 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(CSV_HEADER)
-            for i in range(len(self)):
-                w.writerow([repr(float(x)) for x in (self.times[i], *self.coeffs[i])])
+            # csv writes a float as its repr, which reads back exactly
+            w.writerows(np.column_stack([self.times, self.coeffs]).tolist())
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
+        width = len(CSV_HEADER)
         with open(path, newline="") as fh:
             r = _csv.reader(fh)
             header = next(r, None)
             if header is None:
                 raise ValueError(f"{path}: empty CSV file")
             # later columns, such as the two diagnostic ones of older files, are ignored
-            if tuple(header[:len(CSV_HEADER)]) != CSV_HEADER:
+            if tuple(header[:width]) != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {tuple(header)}")
-            rows = [[float(x) for x in row[:len(CSV_HEADER)]] for row in r if row]
+            rows = []
+            for row in filter(None, r):  # blank lines are skipped
+                if len(row) < width:
+                    raise ValueError(f"{path}: line {r.line_num} has {len(row)} fields, "
+                                     f"fewer than the {width} of {','.join(CSV_HEADER)}")
+                rows.append([float(x) for x in row[:width]])
         if not rows:
             raise ValueError(f"{path}: no samples after the CSV header")
         data = np.array(rows)
@@ -360,22 +362,19 @@ class Trajectory:
         return {
             "model": self.model.value if self.model is not None else None,
             "params": self.params,
-            "lambda": [float(x) for x in self.coeffs[0]],
+            "lambda": self.coeffs[0].tolist(),
             "termination": self.termination,
             "meta": self.meta,
             "samples": {
-                "t": [float(x) for x in self.times],
-                **{
-                    name: [float(x) for x in self.coeffs[:, k]]
-                    for k, name in enumerate(COMPONENTS)
-                },
+                "t": self.times.tolist(),
+                **{name: col.tolist() for name, col in zip(COMPONENTS, self.coeffs.T)},
             },
         }
 
     def write_json(self, path) -> None:
+        # one line: json.dumps without an indent takes the C encoder
         with open(path, "w") as fh:
-            _json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(_json.dumps(self.to_json_dict()) + "\n")
 
     @classmethod
     def read_json(cls, path) -> "Trajectory":
@@ -384,12 +383,17 @@ class Trajectory:
         s = doc.get("samples") if isinstance(doc, dict) else None
         if not isinstance(s, dict):
             raise ValueError(f"{path}: expected a JSON object with a 'samples' object")
-        missing = [name for name in ("t", *COMPONENTS) if name not in s]
+        missing = [name for name in CSV_HEADER if name not in s]
         if missing:
             raise ValueError(f"{path}: 'samples' has no {', '.join(map(repr, missing))}")
+        t, *columns = (np.asarray(s[name], dtype=float) for name in CSV_HEADER)
+        for name, col in zip(COMPONENTS, columns):
+            if col.shape != t.shape:
+                raise ValueError(f"{path}: 'samples' {name!r} has shape {col.shape}, "
+                                 f"'t' has {t.shape}")
         return cls(
-            times=np.asarray(s["t"], dtype=float),
-            coeffs=np.column_stack([s[name] for name in COMPONENTS]),
+            times=t,
+            coeffs=np.column_stack(columns),
             termination=doc.get("termination", "unknown"),
             model=ModelId(doc["model"]) if doc.get("model") else None,
             params=doc.get("params"),
@@ -638,25 +642,33 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
             u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
         monos = () if block.model is None else catalog.model_invariants(block.model).monomials
-        for k, u_row in zip(block.rows, u):
-            p, pick = problems[k], picks[row_grids[k]]
-            coeffs = np.exp(u_row[pick])
-            coeffs[0] = lam[k]  # exp(log(lam)) can be an ulp off the initial data
-            reached = len(coeffs) == len(grids[row_grids[k]])
-            row_meta = {"t_end": p.t_end, "rel_tol": p.rel_tol, "abs_tol": p.abs_tol,
-                        **block_meta, "solver_rtol": p.rel_tol / _TOL_DIVISOR,
-                        "solver_atol": p.abs_tol / _TOL_DIVISOR,
-                        "max_drift": max((mo.drift(coeffs) for mo in monos), default=0.0)}
-            if not reached:
-                row_meta["solver_message"] = sol.message
-            trajs[k] = Trajectory(
-                times=sampled[pick],
-                coeffs=coeffs,
-                termination=TERM_REACHED if reached else TERM_STEP_FAILURE,
-                model=block.model,
-                params=block.params,
-                meta=row_meta,
-            )
+        # the block's rows of each grid, exponentiated and their drifts taken as one stack
+        on_grid: dict = {}
+        for at, k in enumerate(block.rows):
+            on_grid.setdefault(row_grids[k], []).append(at)
+        for grid, ats in on_grid.items():
+            ks, pick = [block.rows[at] for at in ats], picks[grid]
+            coeffs = np.exp(u[ats][:, pick])
+            coeffs[:, 0] = lam[ks]  # exp(log(lam)) can be an ulp off the initial data
+            drifts = np.zeros(len(ks))
+            for mono in monos:
+                drifts = np.maximum(drifts, mono.drift(coeffs))
+            reached = coeffs.shape[1] == len(grids[grid])
+            for k, row, drift in zip(ks, coeffs, drifts.tolist()):
+                p = problems[k]
+                row_meta = {"t_end": p.t_end, "rel_tol": p.rel_tol, "abs_tol": p.abs_tol,
+                            **block_meta, "solver_rtol": p.rel_tol / _TOL_DIVISOR,
+                            "solver_atol": p.abs_tol / _TOL_DIVISOR, "max_drift": drift}
+                if not reached:
+                    row_meta["solver_message"] = sol.message
+                trajs[k] = Trajectory(
+                    times=sampled[pick],
+                    coeffs=row,
+                    termination=TERM_REACHED if reached else TERM_STEP_FAILURE,
+                    model=block.model,
+                    params=block.params,
+                    meta=row_meta,
+                )
     return trajs
 
 

@@ -3,6 +3,8 @@
 A Lie algebra on basis (e_1, ..., e_n) is stored as the dense coefficient
 tensor c with [e_i, e_j] = sum_k c[i,j,k] e_k.  Everything here is plain
 numpy on (n, n, n) arrays; at n = 5 sparsity is not worth any indirection.
+A stack of tables is one array (..., n, n, n), which the stacked defects
+take and which :func:`_check_tensors` holds to the rule of a single table.
 """
 from __future__ import annotations
 
@@ -24,6 +26,41 @@ __all__ = [
 _ANTISYM_TOL = 1e-12
 
 
+def _check_tensors(c: np.ndarray) -> None:
+    """Refuse a structure tensor c (n, n, n), or a stack of them on the
+    leading axes of c, that is not finite or not antisymmetric in (i, j).
+    A stack's message names the index of its first table that fails."""
+    if not np.isfinite(c).all():
+        bad = ~np.isfinite(c).all(axis=(-3, -2, -1))
+        message = "structure constants must be finite"
+    else:
+        asym = np.abs(c + c.swapaxes(-3, -2))
+        if asym.max() <= _ANTISYM_TOL:
+            return
+        defects = asym.max(axis=(-3, -2, -1))
+        bad = defects > _ANTISYM_TOL
+        message = f"structure tensor not antisymmetric (defect {defects[bad].flat[0]:.3e})"
+    where = "" if c.ndim == 3 else f"table {', '.join(map(str, np.argwhere(bad)[0]))}: "
+    raise ValueError(where + message)
+
+
+def _bracket_tensor(dim: int, entries: Mapping[tuple[int, int, int], object],
+                    shape: tuple[int, ...] = ()) -> np.ndarray:
+    """The tensor c[i, j, k, ...] of the brackets {(i, j, k): coeff}, with
+    the antisymmetric completion c[j, i, k] = -c[i, j, k] filled in.  Each
+    coeff is a number or an array of ``shape``: a stack of tables, which
+    the trailing axes of c hold."""
+    half = np.zeros((dim, dim, dim, *shape))
+    for (i, j, k), v in entries.items():
+        if i == j:
+            raise ValueError("diagonal bracket [e_i, e_i] must vanish")
+        half[i, j, k] += v
+    # distinct keys give each entry of c at most a v from (i, j, k) and a w
+    # from (j, i, k): 0 + v - (0 + w) here, the same float as completing
+    # entry by entry, with one subtraction per table instead of per entry
+    return half - half.swapaxes(0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Bracket coefficients c[i,j,k] of [e_i, e_j] on basis vector e_k.
@@ -37,15 +74,10 @@ class StructureConstants:
     c: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)  # a copy, which nothing else can write
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"structure tensor must be cubic, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("structure constants must be finite")
-        asym = np.abs(c + c.swapaxes(0, 1)).max()
-        if asym > _ANTISYM_TOL:
-            raise ValueError(f"structure tensor not antisymmetric (defect {asym:.3e})")
-        c = c.copy()
+        _check_tensors(c)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
@@ -64,13 +96,7 @@ class StructureConstants:
     ) -> "StructureConstants":
         """Build from {(i, j, k): coeff} for i < j; the antisymmetric
         completion c[j,i,k] = -c[i,j,k] is filled in automatically."""
-        c = np.zeros((dim, dim, dim))
-        for (i, j, k), v in entries.items():
-            if i == j:
-                raise ValueError("diagonal bracket [e_i, e_i] must vanish")
-            c[i, j, k] += v
-            c[j, i, k] -= v
-        return cls(c)
+        return cls(_bracket_tensor(dim, entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +179,10 @@ def jacobi_residual(sc: StructureConstants) -> float:
     return float(_jacobi_defects(sc.c))
 
 
-def jacobi_residuals(tables: Sequence[StructureConstants]) -> np.ndarray:
-    """:func:`jacobi_residual` of each table, from one contraction over the
-    stack of tables (all of one dimension)."""
-    return _jacobi_defects(np.array([sc.c for sc in tables]))
+def jacobi_residuals(c: np.ndarray) -> np.ndarray:
+    """:func:`jacobi_residual` of each table of the stack c (..., n, n, n),
+    from one contraction over the stack."""
+    return _jacobi_defects(np.asarray(c, dtype=float))
 
 
 def unimodularity_defect(sc: StructureConstants) -> float:
@@ -164,9 +190,10 @@ def unimodularity_defect(sc: StructureConstants) -> float:
     return float(_trace_defects(sc.c))
 
 
-def unimodularity_defects(tables: Sequence[StructureConstants]) -> np.ndarray:
-    """:func:`unimodularity_defect` of each table, over the stack of tables."""
-    return _trace_defects(np.array([sc.c for sc in tables]))
+def unimodularity_defects(c: np.ndarray) -> np.ndarray:
+    """:func:`unimodularity_defect` of each table of the stack c
+    (..., n, n, n)."""
+    return _trace_defects(np.asarray(c, dtype=float))
 
 
 def change_basis(sc: StructureConstants, t: BasisChange) -> StructureConstants:

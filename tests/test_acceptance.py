@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from solvflow import verify
+from solvflow import catalog, verify
 from solvflow.asymptotics import ClosedFormSolution, fit_power_law
 from solvflow.catalog import InitialData, ModelId
 from solvflow.flow import FlowProblem, Trajectory, integrate, integrate_many
+from solvflow.invariants import drift_report
 from solvflow.verify import _RUNS, CRITERION_TITLES, VerifySession
 
 RUNTIME_BUDGETS = {1: 1.0, 4: 30.0, 5: 120.0}
@@ -123,6 +124,16 @@ def test_report_gives_each_run_and_its_one_solve(report):
     assert all(math.isfinite(v) for v in solve.values())
     doc = json.loads(json.dumps(report.as_dict(), allow_nan=False))
     assert doc["solves"] == report.solves and len(doc["runs"]) == 112
+
+
+def test_each_runs_max_drift_is_its_own(session, report):
+    # the solve takes drifts once per block and grid; each run's must be the
+    # drift of its own samples, bitwise
+    assert len(session._cache) == 112
+    for key, traj in session._cache.items():
+        monos = () if traj.model is None else catalog.model_invariants(traj.model).monomials
+        own = max((drift_report(traj, mono) for mono in monos), default=0.0)
+        assert traj.meta["max_drift"] == own == report.runs[key]["max_drift"], key
 
 
 def test_a_run_solved_before_run_all_is_its_own_solve():

@@ -9,6 +9,7 @@ from solvflow.catalog import (
     InvariantMonomial,
     ModelId,
     build_model,
+    build_models,
     case_labels,
     classify_case,
     constrained_params,
@@ -91,6 +92,53 @@ class TestBuildModel:
             sc = build_model(model, constrained_params(model))
             assert jacobi_residual(sc) < 1e-12
             assert unimodularity_defect(sc) < 1e-12
+
+
+class TestStackedTables:
+    """The stacked parameters and tables against the one-table path, bitwise."""
+
+    @pytest.mark.parametrize("eps", [1.0, -1.0])
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_build_models_is_the_stack_of_build_model(self, model, eps):
+        for seed in range(10):
+            a = np.random.default_rng(seed).uniform(-2.0, 2.0, (20, 10))
+            stack = build_models(model, params_from_basis_change(model, a, eps=np.full(20, eps)))
+            single = [build_model(model, params_from_basis_change(model, row, eps=eps)).c
+                      for row in a]
+            assert stack.shape == (20, 5, 5, 5)
+            assert np.array_equal(stack, np.stack(single)), seed
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_params_from_basis_change_acts_row_by_row(self, model):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-2.0, 2.0, (30, 10))
+        eps = np.where(rng.integers(2, size=30) == 1, 1.0, -1.0)
+        stacked = params_from_basis_change(model, a, eps=eps)
+        for k, row in enumerate(a):
+            single = params_from_basis_change(model, row, eps=float(eps[k]))
+            assert set(stacked) == set(single)
+            for name, value in single.items():
+                assert type(value) is float
+                assert stacked[name].shape == (30,) and stacked[name][k] == value, name
+
+    def test_shared_numbers_broadcast_over_the_stack(self):
+        stack = build_models(ModelId.D11, {"alpha": np.array([0.0, 1.0, 2.0]), "eps": -1.0})
+        for k, alpha in enumerate((0.0, 1.0, 2.0)):
+            assert np.array_equal(stack[k], build_model(ModelId.D11,
+                                                        {"alpha": alpha, "eps": -1.0}).c)
+
+    def test_stack_refuses_what_one_table_refuses(self):
+        a = np.random.default_rng(3).uniform(-2.0, 2.0, (10, 10))
+        bad = a.copy()
+        bad[7, 9] = np.nan  # D1's alpha is a10
+        with pytest.raises(ValueError, match="^table 7: structure constants must be finite$"):
+            build_models(ModelId.D1, params_from_basis_change(ModelId.D1, bad))
+        eps = np.ones(10)
+        eps[4] = 0.5
+        with pytest.raises(ValueError, match="D11 requires eps in {[+]1, -1}, got 0.5"):
+            build_models(ModelId.D11, params_from_basis_change(ModelId.D11, a, eps=eps))
+        with pytest.raises(ValueError, match="D1 has no parameters"):
+            build_models(ModelId.D1, {"delta": np.zeros(3)})
 
 
 class TestConstrainedParams:

@@ -133,6 +133,23 @@ def test_fit_nonfinite_cell_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_fit_ragged_file_usage_error(tmp_path, capsys, suffix):
+    traj = Trajectory(times=np.arange(4.0), coeffs=np.ones((4, 5)), termination="reached_t_end")
+    path = tmp_path / f"ragged{suffix}"
+    if suffix == ".csv":
+        traj.write_csv(path)
+        path.write_text(path.read_text() + "4.0,1.0,1.0\n")
+    else:
+        doc = traj.to_json_dict()
+        doc["samples"]["D"].pop()
+        path.write_text(json.dumps(doc))
+    assert main(["fit", "--in", str(path), "--component", "A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert ("line 6 has 3 fields" if suffix == ".csv" else "'D' has shape (3,)") in err
+
+
 def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
     assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "inf",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -803,6 +804,33 @@ class TestSerialization:
         d5_unit_10.write_json(tmp_path / "run.json")
         samples = json.loads((tmp_path / "run.json").read_text())["samples"]
         assert set(samples) == {"t", "A", "B", "C", "D", "E"}
+
+    def test_csv_short_row_named(self, d5_unit_10, tmp_path):
+        path = tmp_path / "short.csv"
+        d5_unit_10.write_csv(path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4 has 3 fields, "
+                                             "fewer than the 6 of t,A,B,C,D,E$"):
+            Trajectory.read_csv(path)
+
+    @pytest.mark.parametrize("key, named", [("C", r"'C' has shape \(10,\), 't' has \(11,\)"),
+                                            ("t", r"'A' has shape \(11,\), 't' has \(10,\)")],
+                             ids=["C", "t"])
+    def test_json_unequal_sample_lists_named(self, d5_unit_10, tmp_path, key, named):
+        doc = d5_unit_10.to_json_dict()
+        for name in doc["samples"]:
+            doc["samples"][name] = doc["samples"][name][:11 - (name == key)]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'samples' {named}$"):
+            Trajectory.read_json(path)
+
+    def test_json_is_the_c_encoders_one_line(self, d5_unit_10, tmp_path):
+        path = tmp_path / "run.json"
+        d5_unit_10.write_json(path)
+        assert path.read_text() == json.dumps(d5_unit_10.to_json_dict()) + "\n"
 
     def test_csv_rejects_other_headers(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -177,6 +177,15 @@ class TestDrift:
         traj = run(ModelId.D5, (1, 1, 1, 1, 1), 10.0)
         assert drift_report(traj, InvariantMonomial((1, 1, 0, 0, 0))) < 1e-8
 
+    def test_drift_of_a_stack_is_each_runs_own(self):
+        coeffs = np.random.default_rng(2).uniform(0.5, 2.0, (3, 4, 17, 5))
+        mono = InvariantMonomial((2, 1, 0, 2, 1))
+        stacked = mono.drift(coeffs)
+        assert stacked.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            single = mono.drift(coeffs[idx])
+            assert type(single) is float and stacked[idx] == single
+
     def test_corrupted_sample_detected(self):
         traj = run(ModelId.D1, (1, 1, 1, 1, 1), 10.0)
         coeffs = traj.coeffs.copy()

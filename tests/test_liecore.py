@@ -8,6 +8,7 @@ from solvflow.catalog import ModelId, build_model, params_from_basis_change, x_b
 from solvflow.liecore import (
     BasisChange,
     StructureConstants,
+    _check_tensors,
     change_basis,
     jacobi_residual,
     jacobi_residuals,
@@ -148,7 +149,7 @@ class TestStackedDefects:
     def test_jacobi_residuals_are_the_single_values_bitwise(self):
         tables = self.tables()
         single = [jacobi_residual(sc) for sc in tables]
-        assert np.array_equal(jacobi_residuals(tables), single)
+        assert np.array_equal(jacobi_residuals(np.stack([sc.c for sc in tables])), single)
         assert max(single) > 1.0
 
     def test_jacobi_residual_is_the_plain_cyclic_sum(self):
@@ -160,8 +161,42 @@ class TestStackedDefects:
     def test_unimodularity_defects_are_the_single_values_bitwise(self):
         tables = self.tables()
         single = [unimodularity_defect(sc) for sc in tables]
-        assert np.array_equal(unimodularity_defects(tables), single)
+        assert np.array_equal(unimodularity_defects(np.stack([sc.c for sc in tables])), single)
         assert max(single) > 1.0
+
+
+class TestStackedCheck:
+    """One rule for a table and a stack of tables, which names its first bad table."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_table_named(self, bad):
+        c = np.zeros((6, 5, 5, 5))
+        c[4, 0, 1, 2], c[4, 1, 0, 2] = bad, -bad
+        c[5, 2, 3, 0] = 1.0  # a later table that breaks antisymmetry is not the one named
+        with pytest.raises(ValueError, match="^table 4: structure constants must be finite$"):
+            _check_tensors(c)
+        with pytest.raises(ValueError, match="^structure constants must be finite$"):
+            StructureConstants(c[4])
+
+    def test_nonantisymmetric_table_named(self):
+        c = np.zeros((6, 5, 5, 5))
+        c[3, 0, 1, 2] = 0.5
+        c[5, 2, 3, 0] = 1.0
+        message = r"structure tensor not antisymmetric \(defect 5.000e-01\)$"
+        with pytest.raises(ValueError, match="^table 3: " + message):
+            _check_tensors(c)
+        with pytest.raises(ValueError, match="^" + message):
+            StructureConstants(c[3])
+
+    def test_stack_on_two_axes_named_by_both_indices(self):
+        c = np.zeros((2, 3, 5, 5, 5))
+        c[1, 2, 0, 1, 2] = math.nan
+        with pytest.raises(ValueError, match="^table 1, 2: "):
+            _check_tensors(c)
+
+    def test_valid_stack_passes(self):
+        c = np.random.default_rng(4).normal(size=(8, 5, 5, 5))
+        _check_tensors(c - c.swapaxes(-3, -2))
 
 
 class TestBasisChange:
