@@ -15,8 +15,11 @@ finite sum of Laurent monomials in g; :func:`compile_flow` collects them
 once per bracket table, and the flow, its diagonality and its conserved
 monomials are read off that; ``ricci_tensor`` and ``ricci_quadratic`` are
 its oracles.  :func:`ricci_forms` evaluates the Ricci form of a whole stack
-of metrics with one contraction, and :func:`ricci_tensor` is its stack of
-one.
+of metrics with one contraction, and :func:`ricci_tensor` is bitwise each of
+its rows, checked once.  :func:`ricci_quadratic` evaluates the formula above
+term by term, each term one contraction of W with the frame tensor; it does
+not go through the polarized matrix, so it stays an independent oracle of
+both.
 """
 from __future__ import annotations
 
@@ -150,31 +153,25 @@ def _unit_frame_tensor(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 def ricci_quadratic(sc: StructureConstants, g: DiagonalMetric, w: np.ndarray) -> float:
     """Ric(W, W) for W = sum_i w_i Yhat_i, by the three-term formula.
 
-    This is the literal sum-by-sum evaluation; it serves as the independent
-    oracle for the tensor-contraction path in :func:`ricci_tensor`.
+    Each term is one contraction of W with the frame tensor, taken as the
+    formula states it: with m[i, k] the Yhat_k-component of [W, Yhat_i],
+    term 1 is -1/2 m.m, term 2 is -1/2 sum_i [W, [W, Yhat_i]]_i = -1/2 m.m^T
+    and term 3 is 1/2 sum_{i<j} <[Yhat_i, Yhat_j], W>^2.  It shares nothing
+    with :func:`_ricci_matrix` or :func:`compile_flow` but the frame
+    tensor, so it stays the independent oracle of both.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (sc.dim,):
-        raise ValueError(f"frame vector must have length {sc.dim}")
-    chat = _unit_frame_tensor(sc.c, g.array)
     n = sc.dim
+    if w.shape != (n,):
+        raise ValueError(f"frame vector must have length {n}")
+    chat = _unit_frame_tensor(sc.c, g.array)
 
-    # m[i, :] = [W, Yhat_i]
-    m = np.einsum("j,jik->ik", w, chat)
-    term1 = -0.5 * float(np.sum(m * m))
-
-    term2 = 0.0
-    for i in range(n):
-        wwi = m[i] @ m  # [W, [W, Yhat_i]]
-        term2 += wwi[i]
-    term2 *= -0.5
-
-    term3 = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            term3 += float(chat[i, j] @ w) ** 2
-    term3 *= 0.5
-
+    m = (w @ chat.reshape(n, n * n)).reshape(n, n)  # m[i, :] = [W, Yhat_i]
+    term1 = -0.5 * float(m.ravel() @ m.ravel())
+    term2 = -0.5 * float(m.ravel() @ m.T.ravel())
+    r = np.arange(n)
+    v = (chat @ w)[r[:, None] < r]  # <[Yhat_i, Yhat_j], W> for i < j
+    term3 = 0.5 * float(v @ v)
     return term1 + term2 + term3
 
 
@@ -216,13 +213,15 @@ def ricci_forms(sc: StructureConstants, coeffs) -> np.ndarray:
 
 
 def ricci_tensor(sc: StructureConstants, g: DiagonalMetric) -> RicciForm:
-    """Full Ricci form in the orthonormal frame: :func:`ricci_forms` of the
-    stack of one.
+    """Full Ricci form in the orthonormal frame: the contraction of
+    :func:`ricci_forms` on one metric, bitwise each row of a stack.  ``g``
+    is valid by construction, so the form is checked once, by
+    :class:`RicciForm`.
 
     Diagonal entries equal ricci_quadratic(Yhat_i); off-diagonal entries are
     the polarization (Q(Yhat_i+Yhat_j) - Q(Yhat_i) - Q(Yhat_j))/2.
     """
-    return RicciForm(ricci_forms(sc, g.array[None])[0])
+    return RicciForm(_ricci_matrix(_unit_frame_tensor(sc.c, g.array)))
 
 
 @dataclass(frozen=True)

@@ -348,7 +348,11 @@ class Trajectory:
                 if len(row) < width:
                     raise ValueError(f"{path}: line {r.line_num} has {len(row)} fields, "
                                      f"fewer than the {width} of {','.join(CSV_HEADER)}")
-                rows.append([float(x) for x in row[:width]])
+                try:
+                    rows.append([float(x) for x in row[:width]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {r.line_num} has a field that is not "
+                                     f"a number ({exc})") from None
         if not rows:
             raise ValueError(f"{path}: no samples after the CSV header")
         data = np.array(rows)
@@ -386,7 +390,14 @@ class Trajectory:
         missing = [name for name in CSV_HEADER if name not in s]
         if missing:
             raise ValueError(f"{path}: 'samples' has no {', '.join(map(repr, missing))}")
-        t, *columns = (np.asarray(s[name], dtype=float) for name in CSV_HEADER)
+        columns = []
+        for name in CSV_HEADER:
+            try:
+                columns.append(np.asarray(s[name], dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: 'samples' {name!r} is not a list of numbers "
+                                 f"({exc})") from None
+        t, *columns = columns
         for name, col in zip(COMPONENTS, columns):
             if col.shape != t.shape:
                 raise ValueError(f"{path}: 'samples' {name!r} has shape {col.shape}, "

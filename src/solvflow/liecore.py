@@ -9,6 +9,8 @@ take and which :func:`_check_tensors` holds to the rule of a single table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -155,17 +157,38 @@ class BasisChange:
         return BasisChange(inv)
 
 
+@cache
+def _cyclic_terms(n: int) -> np.ndarray:
+    """Flat indices into T[i, j, l] (n**3 rows) that give the Jacobi cyclic
+    sum at each of the triples i < j < l in its three float orderings:
+    [r, o, q] is the r-th summand of ordering o at the q-th triple, where
+    ordering o starts at term o of T[i,j,l], T[j,l,i], T[l,i,j]."""
+    i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    terms = np.stack([(x * n + y) * n + z for x, y, z in ((i, j, l), (j, l, i), (l, i, j))])
+    index = np.stack([np.roll(terms, -r, axis=0) for r in range(3)])
+    index.flags.writeable = False  # one array, shared by every call
+    return index
+
+
 def _jacobi_defects(c: np.ndarray) -> np.ndarray:
     """Max |Jacobi cyclic sum| of each tensor stacked on the leading axes of c.
 
     [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] has k-component
     T[i,j,l,k] + T[j,l,i,k] + T[l,i,j,k] with T[i,j,l,k] = c[i,j,m] c[m,l,k];
-    zero for a genuine Lie algebra.
+    zero for a genuine Lie algebra.  For c antisymmetric in (i, j), as every
+    table built from brackets is exactly, the sum is alternating in
+    (i, j, l): an odd permutation gives the exact negative and a repeated
+    index exactly 0.  So the maximum over all n**3 triples is the maximum
+    over i < j < l of the sum in its three cyclic orderings
+    (a+b)+c, (b+c)+a, (c+a)+b, which is what is computed, from one gather.
+    A table antisymmetric only to rounding, as :func:`change_basis` makes
+    them, can read a few ulps off the maximum over all triples.
     """
+    n = c.shape[-1]
     t = np.einsum("...ijm,...mlk->...ijlk", c, c)
-    # the two cyclic index permutations of the last four axes, as views
-    cyc = t + t.swapaxes(-4, -3).swapaxes(-3, -2) + t.swapaxes(-4, -2).swapaxes(-3, -2)
-    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
+    g = t.reshape(*t.shape[:-4], n**3, n).take(_cyclic_terms(n), axis=-2)
+    cyc = (g[..., 0, :, :, :] + g[..., 1, :, :, :]) + g[..., 2, :, :, :]
+    return np.abs(cyc).max(axis=(-3, -2, -1), initial=0.0)
 
 
 def _trace_defects(c: np.ndarray) -> np.ndarray:

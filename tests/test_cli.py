@@ -150,6 +150,25 @@ def test_fit_ragged_file_usage_error(tmp_path, capsys, suffix):
     assert ("line 6 has 3 fields" if suffix == ".csv" else "'D' has shape (3,)") in err
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_fit_sample_not_a_number_usage_error(tmp_path, capsys, suffix):
+    traj = Trajectory(times=np.arange(4.0), coeffs=np.ones((4, 5)), termination="reached_t_end")
+    path = tmp_path / f"text{suffix}"
+    if suffix == ".csv":
+        traj.write_csv(path)
+        path.write_text(path.read_text() + "4.0,1,x,1,1,1\n")
+    else:
+        doc = traj.to_json_dict()
+        doc["samples"]["B"][2] = "x"
+        path.write_text(json.dumps(doc))
+    assert main(["fit", "--in", str(path), "--component", "A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert ("line 6 has a field that is not a number" if suffix == ".csv"
+            else "'samples' 'B' is not a list of numbers") in err
+    assert "'x'" in err
+
+
 def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
     assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "inf",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -815,6 +815,16 @@ class TestSerialization:
                                              "fewer than the 6 of t,A,B,C,D,E$"):
             Trajectory.read_csv(path)
 
+    def test_csv_field_not_a_number_named(self, d5_unit_10, tmp_path):
+        path = tmp_path / "text.csv"
+        d5_unit_10.write_csv(path)
+        lines = path.read_text().splitlines()
+        lines[3] = "1,1,x,1,1,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4 has a field that "
+                                             r"is not a number \(.*'x'\)$"):
+            Trajectory.read_csv(path)
+
     @pytest.mark.parametrize("key, named", [("C", r"'C' has shape \(10,\), 't' has \(11,\)"),
                                             ("t", r"'A' has shape \(11,\), 't' has \(10,\)")],
                              ids=["C", "t"])
@@ -825,6 +835,16 @@ class TestSerialization:
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'samples' {named}$"):
+            Trajectory.read_json(path)
+
+    @pytest.mark.parametrize("value", ["x", {"a": 1}], ids=["text", "object"])
+    def test_json_sample_not_a_number_named(self, d5_unit_10, tmp_path, value):
+        doc = d5_unit_10.to_json_dict()
+        doc["samples"]["D"][5] = value
+        path = tmp_path / "text.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'samples' 'D' is not "
+                                             r"a list of numbers \(.+\)$"):
             Trajectory.read_json(path)
 
     def test_json_is_the_c_encoders_one_line(self, d5_unit_10, tmp_path):

@@ -158,6 +158,29 @@ class TestStackedDefects:
             cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
             assert jacobi_residual(sc) == float(np.max(np.abs(cyc)))
 
+    def test_jacobi_residuals_of_perturbed_tables_are_the_plain_cyclic_sum(self):
+        # catalog draws moved off the Lie locus by an antisymmetric
+        # perturbation of every size, single and stacked
+        rng = np.random.default_rng(10)
+        tables = []
+        for k in range(50):
+            model = list(ModelId)[k % 5]
+            c = build_model(model, params_from_basis_change(
+                model, rng.uniform(-2, 2, 10), eps=float(rng.choice((-1.0, 1.0))))).c
+            noise = rng.normal(size=(5, 5, 5)) * 10.0 ** rng.uniform(-15, 0)
+            tables.append(StructureConstants(c + (noise - noise.swapaxes(0, 1))))
+        plain = []
+        for sc in tables:
+            t = np.einsum("ijm,mlk->ijlk", sc.c, sc.c)
+            cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+            plain.append(float(np.max(np.abs(cyc))))
+            assert jacobi_residual(sc) == plain[-1]
+        stack = np.stack([sc.c for sc in tables])
+        assert np.array_equal(jacobi_residuals(stack), plain)
+        assert np.array_equal(jacobi_residuals(stack.reshape(5, 10, 5, 5, 5)),
+                              np.reshape(plain, (5, 10)))
+        assert min(plain) > 0.0
+
     def test_unimodularity_defects_are_the_single_values_bitwise(self):
         tables = self.tables()
         single = [unimodularity_defect(sc) for sc in tables]
