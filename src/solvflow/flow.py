@@ -6,18 +6,21 @@ is a linear first integral of u, which Runge-Kutta methods keep to
 rounding, and g = exp(u) stays positive without a floor or an event.  A
 finite-time collapse (u -> -inf) ends the run as a step-size underflow.
 
-Integration is delegated to scipy's DOP853 (an 8(5,3) embedded pair with
-PI step control; Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), and
-scipy is loaded at the first solve, not on import.  Loading
-``scipy.integrate``, with the ``scipy.linalg`` it pulls in, takes about
-0.6 s on 2 cores, where ``import solvflow`` without it takes about 0.22 s;
-so the commands and callers that never integrate skip that cost, and the
-first solve in a process pays it.  The solver is always called through the
-module attribute ``flow.solve_ivp``, with the step method
-``flow.RowwiseDOP853``; the first access of each resolves or builds it and
-stores it, so a tracer or a test that replaces ``solve_ivp`` sees every
-solve.  Samples are recorded on a linear grid on [0, 1] and a geometric
-grid afterwards, which is what the power-law fits consume.
+The integrator is DOP853, an 8(5,3) embedded pair with PI step control
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  scipy's ``solve_ivp``
+drives it and scipy's ``DOP853`` gives the tableau, the tolerance checks
+and the first step; the step itself, the dense output and the retirement
+of finished rows are this module's (``RowwiseDOP853``).  scipy is loaded
+at the first solve, not on import.  Loading ``scipy.integrate``, with the
+``scipy.linalg`` it pulls in, takes about 0.6 s on 2 cores, where
+``import solvflow`` without it takes about 0.22 s; so the commands and
+callers that never integrate skip that cost, and the first solve in a
+process pays it.  The solver is always called through the module attribute
+``flow.solve_ivp``, with the step method ``flow.RowwiseDOP853``; the first
+access of each resolves or builds it and stores it, so a tracer or a test
+that replaces ``solve_ivp`` sees every solve.  Samples are recorded on a
+linear grid on [0, 1] and a geometric grid afterwards, which is what the
+power-law fits consume.
 
 The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt.
 Its solutions approach power laws g ~ c t^k, which are nearly straight
@@ -66,27 +69,30 @@ gate of criterion 3 (DOP853: 3.5e-11), and Radau passes but made
 before criterion 4's runs were stacked).
 
 Any problems are solved together (:func:`integrate_many`): the M rows are
-stacked into one system of 5M components, so scipy's per-step overhead,
-which is about the same at any width, is paid once for all of them, and
-:func:`integrate` is the batch of one.  The solve runs to the largest
-``t_end`` over the union of the rows' sample grids, and each row keeps its
-own grid.  Each distinct table, a catalog model with its parameters or an
-explicit ``brackets`` object, is compiled once, and its rows form one block
-per set of pairs they take reflected or tied.  The right-hand side fills
-each block's slice: a reflected block through its own coordinates, and the
-plain rows of several blocks through one product with the union of their
-tables, where the logs of the other tables' terms are -inf in each row, so
-those terms add exactly 0.  A batch of one block uses that block's
-right-hand side alone, as a single run does.  The step control holds each
-row to its own tolerance: ``RowwiseDOP853`` takes DOP853's error norm of
-every row on its own and accepts a step when the largest is below 1, so a
-row's steps are at least as fine as its own run would take, whatever the
-other rows do.  The solver runs at a tenth of each row's own rel_tol and
-abs_tol, the divisor that keeps runs in tau at least as accurate as they
-were in t.  Worst |delta log g| of criterion 4's seed-0 draws to t = 1e4
-against a DOP853 solve in t at rtol 2.3e-14 and atol 1e-17 (for generic
-D11, a Radau solve in plain coordinates at rtol 1e-13), for D1, D2, D3, D5
-and D11:
+stacked into one system of 5M components, so the per-step overhead of the
+stepping, which is about the same at any width, is paid once for all of
+them, and :func:`integrate` is the batch of one.  The solve runs to the
+largest ``t_end`` over the union of the rows' sample grids, and each row
+keeps its own grid.  A row leaves the solve at the first step that starts
+at or past its own ``t_end``: its derivative is zeroed, so it stays put at
+no cost in evaluations, and the right-hand side is rebuilt, once per
+horizon, for the rows still live.  Each distinct table, a catalog model
+with its parameters or an explicit ``brackets`` object, is compiled once,
+and its rows form one block per set of pairs they take reflected or tied.
+The right-hand side fills each block's slice: a reflected block through
+its own coordinates, and the plain rows of several blocks through one
+product with the union of their tables, where the logs of the other
+tables' terms are -inf in each row, so those terms add exactly 0.  A batch
+of one block uses that block's right-hand side alone, as a single run
+does.  The step control holds each row to its own tolerance:
+``RowwiseDOP853`` takes DOP853's error norm of every row on its own and
+accepts a step when the largest is below 1, so a row's steps are at least
+as fine as its own run would take, whatever the other rows do.  The solver
+runs at a tenth of each row's own rel_tol and abs_tol, the divisor that
+keeps runs in tau at least as accurate as they were in t.  Worst
+|delta log g| of criterion 4's seed-0 draws to t = 1e4 against a DOP853
+solve in t at rtol 2.3e-14 and atol 1e-17 (for generic D11, a Radau solve
+in plain coordinates at rtol 1e-13), for D1, D2, D3, D5 and D11:
 
   solve                                 D1       D2       D3       D5       D11
   in t, RMS norm at tol/sqrt(M), batch  1.1e-12  1.3e-12  1.6e-12  2.2e-12  2.9e-12
@@ -101,9 +107,11 @@ sqrt(M), one D2 row of the batch lies 1.44 times as far from the reference
 as its own run, at any divisor from 1 to 30; with the row-wise norm every
 row lies at most 0.66 times as far (D11, 0.61; the D11 figures are set by
 the Radau reference).  ``solvflow check`` solves its 111 catalog rows and
-criterion 10's abelian run in one solve of 1,421 evaluations (4,597 in one
+criterion 10's abelian run in one solve of 1,271 evaluations and 87 steps
+(1,421 and 97 when every row rode along to the last horizon; 4,597 in one
 solve per horizon).  Each solve's ``meta`` records its accepted and
-rejected steps and its smallest step in tau.
+rejected steps and its smallest step in tau, and each row's which steps
+it set and when it left.
 """
 from __future__ import annotations
 
@@ -112,7 +120,9 @@ import json as _json
 import logging
 import math
 import sys
+from copy import copy
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, combinations
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -147,6 +157,11 @@ _LINEAR_SAMPLES = 33
 _TOL_DIVISOR = 10
 _RTOL_FLOOR = 100 * sys.float_info.epsilon
 
+# DOP853's step-size control, as in scipy: the safety factor, and the
+# smallest and largest factor by which one step may change the next
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_TINY = math.ulp(0.0)
+
 
 def _load_solve_ivp():
     start = perf_counter()
@@ -157,38 +172,174 @@ def _load_solve_ivp():
 
 
 def _build_rowwise_dop853():
-    from scipy.integrate import DOP853
+    from scipy.integrate import DOP853, DenseOutput
+
+    class Dop853Interpolant(DenseOutput):
+        """DOP853's 7th-order interpolant on one step [t_old, t] of length
+        h: y_old + F^T b(x), x = (t - t_old)/h, where b holds the running
+        products of x, 1 - x, x, 1 - x, ...  This is scipy's nested form
+        expanded, one ``cumprod`` and one product for any number of
+        times."""
+
+        def __init__(self, t_old, t, y_old, F):
+            super().__init__(t_old, t)
+            self.h = t - t_old
+            self.y_old = y_old
+            self.F = F
+
+        def _call_impl(self, t):
+            x = (t - self.t_old) / self.h
+            factors = np.empty((len(self.F), *x.shape))
+            factors[0::2] = x
+            factors[1::2] = 1.0 - x
+            # (time, coordinate), or (coordinate,) for a scalar t
+            y = factors.cumprod(axis=0).T @ self.F + self.y_old
+            return y.T
 
     class RowwiseDOP853(DOP853):
-        """scipy's DOP853 with each of ``rows`` stacked rows of equal width
-        held to its own tolerance: the error norm is the largest of the
-        rows' own DOP853 norms.  scipy accepts a step exactly when that norm
-        is below 1, so the norm also records, in the dict ``counts``, the
-        accepted steps (``steps``), the rejected ones (``rejected_steps``)
-        and the smallest accepted step (``min_step``)."""
+        """scipy's DOP853 pair, first step and tolerance checks, with our
+        own step and dense output, for ``rows`` stacked rows of equal width,
+        each held to its own tolerance: the error norm is the largest of the
+        rows' own DOP853 norms.
 
-        def __init__(self, fun, t0, y0, t_bound, *, rows, counts, **options):
+        The step calls the right-hand side ``fun`` as given, uncounted, and
+        adds to ``nfev`` itself: 12 evaluations per attempted step and 3
+        per dense output.  A step is accepted exactly when the norm is
+        below 1, so the norm also records, in the dict ``counts``, the
+        accepted steps (``steps``), the rejected ones (``rejected_steps``),
+        the smallest accepted step (``min_step``) and, in ``steps_set``, for
+        each row the accepted steps at which its norm was the largest and
+        not 0.
+
+        With ``row_ends``, each row's end in the solver's time, a row leaves
+        the solve at the first step that starts at or past its end: its
+        derivative is zeroed, so its y stays put and its norm is 0, and from
+        then on the steps call ``live_rhs(live)``, the right-hand side of
+        the rows that the boolean ``live`` marks, with 0 for the others.
+        ``counts["retired_at_step"]`` gives for each row the accepted steps
+        made before it left, or None.  In ``solvflow check``'s solve, whose
+        rows end at t = 10, 1e3, 1e4 and 1e6, that takes 1,271 evaluations
+        and 87 steps, where carrying every row to 1e6 took 1,421 and 97."""
+
+        # the interpolant's coefficients F = [1, -1, 2, 0, ...] dy + h Q K,
+        # dy = y - y_old, from the 16 stages that the dense output completes
+        # (K[0] is the step's first derivative and K[12] its last)
+        Q = np.zeros((7, DOP853.D.shape[1]))
+        Q[1, 0] = 1.0
+        Q[2, [0, DOP853.n_stages]] = -1.0
+        Q[3:] = DOP853.D
+        DY = np.array([1.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0])[:, None]
+
+        def __init__(self, fun, t0, y0, t_bound, *, rows, counts, row_ends=None,
+                     live_rhs=None, **options):
             self.rows = rows
             self.counts = counts
-            counts.update(steps=0, rejected_steps=0, min_step=math.inf)
+            counts.update(steps=0, rejected_steps=0, min_step=math.inf, steps_set=[0] * rows,
+                          retired_at_step=[None] * rows)
             super().__init__(fun, t0, y0, t_bound, **options)
+            self.rhs = fun
+            self.width = self.n // rows
+            # a step never starts at t_bound, so a row that ends there never leaves
+            self.ends = np.full(rows, t_bound) if row_ends is None else np.asarray(row_ends)
+            self.next_end = float(self.ends.min())
+            self.live = np.ones(rows, dtype=bool)
+            self.live_rhs = live_rhs
+            self.E53 = np.vstack([self.E5, self.E3])
+            # the weights of all 16 stages by row: A for stages 1-11, B in
+            # row 12 and the dense output's stages 13-15.  Each attempt stores
+            # h times them in hW, which the dense output of an accepted step
+            # reuses
+            K, n = self.K_extended, self.n_stages
+            self.W = np.zeros((len(K), len(K)))
+            self.W[:n, :n], self.W[n, :n], self.W[n + 1:] = self.A, self.B, self.A_EXTRA
+            self.hW = np.empty_like(self.W)
+            self.hB = self.hW[n, :n]
+            # each stage s as (h times its weights, the stages they combine,
+            # its node, where it goes)
+            nodes = np.concatenate([self.C, [1.0], self.C_EXTRA]).tolist()
+            self.stages = [(self.hW[s, :s], K[:s], nodes[s], K[s]) for s in range(1, n)]
+            self.extra_stages = [(self.hW[s, :s], K[:s], nodes[s], K[s])
+                                 for s in range(n + 1, len(K))]
 
         def _estimate_error_norm(self, K, h, scale):
-            err5 = (np.dot(K.T, self.E5) / scale).reshape(self.rows, -1)
-            err3 = (np.dot(K.T, self.E3) / scale).reshape(self.rows, -1)
-            err5_2 = np.einsum("ij,ij->i", err5, err5)
-            denom = err5_2 + 0.01 * np.einsum("ij,ij->i", err3, err3)
-            # a row without error has norm 0, and a NaN estimate stays NaN,
-            # which rejects the step, as in scipy's own norm
-            row_norms = np.divide(err5_2, np.sqrt(denom * err5.shape[1]),
-                                  out=np.zeros_like(denom), where=denom != 0.0)
-            norm = abs(h) * float(np.max(row_norms))
+            # both embedded estimates from one product, squared and summed by row
+            err = (self.E53 @ K) / scale
+            err5_2, err3_2 = np.square(err, out=err).reshape(2, self.rows, -1).sum(axis=2)
+            # a row without error has numerator and denominator 0, and the
+            # smallest positive float in place of that 0 gives it norm 0; a
+            # NaN estimate stays NaN, which rejects the step, as in scipy's norm
+            denom = np.maximum(err5_2 + 0.01 * err3_2, _TINY) * self.width
+            row_norms = err5_2 / np.sqrt(denom)
+            largest = int(row_norms.argmax())
+            norm = abs(h) * float(row_norms[largest])
             if norm < 1.0:
                 self.counts["steps"] += 1
                 self.counts["min_step"] = min(self.counts["min_step"], abs(float(h)))
+                if norm > 0.0:
+                    self.counts["steps_set"][largest] += 1
             else:
                 self.counts["rejected_steps"] += 1
             return norm
+
+        def _retire(self, t):
+            live = self.ends > t
+            for k in np.flatnonzero(self.live & ~live).tolist():
+                self.counts["retired_at_step"][k] = self.counts["steps"]
+            self.live = live
+            self.f = np.where(np.repeat(live, self.width), self.f, 0.0)
+            self.rhs = self.live_rhs(live)
+            self.next_end = float(self.ends[live].min())
+
+        def _step_impl(self):
+            t = self.t
+            if t >= self.next_end:
+                self._retire(t)
+            y, f, K, rhs = self.y, self.f, self.K, self.rhs
+            min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+            h_abs = float(self.h_abs)
+            if h_abs > self.max_step:
+                h_abs = self.max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return False, self.TOO_SMALL_STEP
+                t_new = t + h_abs * self.direction
+                if self.direction * (t_new - self.t_bound) > 0:
+                    t_new = self.t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                K[0] = f
+                np.multiply(self.W, h, out=self.hW)
+                for a, done, c, stage in self.stages:
+                    stage[:] = rhs(t + c * h, y + a @ done)
+                y_new = y + self.hB @ K[:-1]
+                f_new = rhs(t_new, y_new)
+                K[-1] = f_new
+                self.nfev += 12
+                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+                error_norm = self._estimate_error_norm(K, h, scale)
+                if error_norm < 1.0:
+                    factor = (_MAX_FACTOR if error_norm == 0.0 else
+                              min(_MAX_FACTOR, _SAFETY * error_norm ** self.error_exponent))
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** self.error_exponent)
+                rejected = True
+            self.h_previous = h
+            self.y_old, self.t, self.y = y, t_new, y_new
+            self.h_abs = h_abs
+            self.f = f_new
+            return True, None
+
+        def _dense_output_impl(self):
+            K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
+            for a, done, c, stage in self.extra_stages:
+                stage[:] = self.rhs(t_old + c * h, y_old + a @ done)
+            self.nfev += 3
+            F = self.DY * (self.y - y_old) + h * (self.Q @ K)
+            return Dop853Interpolant(t_old, self.t, y_old, F)
 
     return RowwiseDOP853
 
@@ -284,7 +435,12 @@ class Trajectory:
     rows solved together (``batch_size``), the tolerances the solver held
     this row to, and of that solve ``nfev``, the accepted and rejected steps
     (``steps``, ``rejected_steps``), the smallest accepted step in
-    log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  It
+    log(1 + t) (``min_step_log_t``, None if none was) and ``wall_s``.  Two
+    facts of the solve are the row's own: ``steps_set``, the accepted steps
+    at which this row's error norm was the largest of all rows' (and not 0),
+    so that it set the step size; and ``retired_at_step``, the number of
+    accepted steps after which the row left the solve, having reached its
+    own ``t_end`` before the others, or None if it stayed to the end.  It
     also gives the worst relative drift of the model's named conserved
     monomials over the run (``max_drift``; 0 for explicit brackets).
     Diagonality needs no per-sample record: :func:`integrate` refuses,
@@ -587,26 +743,6 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) if b.pairs else None for b in blocks]
     y0 = np.concatenate([u0[b.rows] if c is None else c.y0 for b, c in zip(blocks, coords)])
-    n_plain = coords.count(None)
-    # (stacked rows, their rhs): the plain rows, and each reflected block
-    pieces = [(rows, c.rhs) for rows, c in zip(slices, coords) if c is not None]
-    if n_plain:
-        plain_rhs = blocks[0].terms.log_rhs if n_plain == 1 else _union_rhs(blocks[:n_plain])
-        pieces.insert(0, (slice(0, bounds[n_plain]), plain_rhs))
-    # in tau = log(1 + t), dy/dtau = (1 + t) dy/dt
-    if len(pieces) == 1:
-        piece_rhs = pieces[0][1]
-
-        def rhs(tau, y):
-            return math.exp(tau) * piece_rhs(y.reshape(m, -1)).ravel()
-    else:
-        def rhs(tau, y):
-            y = y.reshape(m, -1)
-            dy = np.empty_like(y)
-            for rows, piece_rhs in pieces:
-                dy[rows] = piece_rhs(y[rows])
-            return math.exp(tau) * dy.ravel()
-
     row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
@@ -616,9 +752,10 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     module = sys.modules[__name__]
     solve_ivp, method = module.solve_ivp, module.RowwiseDOP853
     counts: dict = {}
+    rhs = partial(_stacked_rhs, blocks, coords, bounds)
     start = perf_counter()
     sol = solve_ivp(
-        rhs,
+        rhs(np.ones(m, dtype=bool)),
         (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
@@ -627,6 +764,8 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         atol=np.repeat([problems[k].abs_tol / _TOL_DIVISOR for k in stacked], n),
         rows=m,
         counts=counts,
+        row_ends=np.log1p([problems[k].t_end for k in stacked]),
+        live_rhs=rhs,
     )
     wall_s = perf_counter() - start
     meta = {"solver": "DOP853 on log g in log(1+t)", "batch_size": m, "nfev": int(sol.nfev),
@@ -647,6 +786,9 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     # each grid's samples among those the solver reached
     picks = {g: np.isin(sampled, grid) for g, grid in grids.items()}
     trajs: list[Trajectory] = [None] * m
+    # each row's own facts of the solve, by problem
+    own = {k: {"steps_set": counts["steps_set"][at],
+               "retired_at_step": counts["retired_at_step"][at]} for at, k in enumerate(stacked)}
     for block, rows, c in zip(blocks, slices, coords):
         u = y[rows] if c is None else c.log_g(y[rows], c.sign[:, None, :])
         for i, j in block.ties:
@@ -668,7 +810,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
             for k, row, drift in zip(ks, coeffs, drifts.tolist()):
                 p = problems[k]
                 row_meta = {"t_end": p.t_end, "rel_tol": p.rel_tol, "abs_tol": p.abs_tol,
-                            **block_meta, "solver_rtol": p.rel_tol / _TOL_DIVISOR,
+                            **block_meta, **own[k], "solver_rtol": p.rel_tol / _TOL_DIVISOR,
                             "solver_atol": p.abs_tol / _TOL_DIVISOR, "max_drift": drift}
                 if not reached:
                     row_meta["solver_message"] = sol.message
@@ -683,11 +825,55 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     return trajs
 
 
-def _union_rhs(blocks: list[_Block]):
+def _stacked_rhs(blocks: list[_Block], coords: list, bounds: list[int], live: np.ndarray):
+    """dy/dtau, tau = log(1 + t), of the rows that the boolean ``live``
+    marks among the stacked rows of ``blocks`` (plain blocks first), with 0
+    for the others: (1 + t) dy/dt.  The live plain rows take one product,
+    and each reflected block's live rows their own coordinates, with
+    ``_union_rhs``'s mask and ``_Reflected.sign`` cut to those rows; a
+    block without live rows costs nothing."""
+    m = bounds[-1]
+    n_plain = coords.count(None)
+    # (stacked rows, their du/dt): the plain rows, and each reflected block
+    pieces = []
+    plain = np.flatnonzero(live[:bounds[n_plain]])
+    if plain.size:
+        keep = _as_slice(plain)
+        pieces.append((keep, blocks[0].terms.log_rhs if n_plain == 1
+                       else _union_rhs(blocks[:n_plain], keep)))
+    for lo, hi, c in zip(bounds[n_plain:], bounds[n_plain + 1:], coords[n_plain:]):
+        keep = np.flatnonzero(live[lo:hi])
+        if keep.size:
+            pieces.append((_as_slice(lo + keep), c.cut(_as_slice(keep)).rhs))
+    if len(pieces) == 1 and live.all():
+        piece_rhs = pieces[0][1]
+
+        def rhs(tau, y):
+            return math.exp(tau) * piece_rhs(y.reshape(m, -1)).ravel()
+    else:
+        def rhs(tau, y):
+            y = y.reshape(m, -1)
+            dy = np.zeros_like(y)
+            for rows, piece_rhs in pieces:
+                dy[rows] = piece_rhs(y[rows])
+            return math.exp(tau) * dy.ravel()
+    return rhs
+
+
+def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
+    """Ascending row indices, as a slice if they are contiguous: a slice
+    takes a view where an index array copies."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+def _union_rhs(blocks: list[_Block], keep=slice(None)):
     """du/dt of the rows of several plain blocks, stacked in block order,
-    as one product with the union of their term tables.  Each row gets
-    -inf added to the logs of the other tables' terms, so those add
-    exp(-inf) * rate = 0 exactly and each row sums only its own terms."""
+    as one product with the union of their term tables, or of the rows that
+    ``keep`` indexes among them.  Each row gets -inf added to the logs of
+    the other tables' terms, so those add exp(-inf) * rate = 0 exactly and
+    each row sums only its own terms."""
     exps = np.concatenate([block.terms.exps for block in blocks])
     rates = np.concatenate([block.terms.rates for block in blocks])
     mask = np.full((sum(len(block.rows) for block in blocks), len(exps)), -np.inf)
@@ -696,6 +882,7 @@ def _union_rhs(blocks: list[_Block]):
         mask[row:row + len(block.rows), term:term + len(block.terms.exps)] = 0.0
         row += len(block.rows)
         term += len(block.terms.exps)
+    mask = mask[keep]
 
     def rhs(u: np.ndarray) -> np.ndarray:
         return np.exp(u @ exps.T + mask) @ rates
@@ -737,6 +924,12 @@ class _Reflected:
         r0 = u0[:, i] - u0[:, j]
         self.sign = np.sign(r0)
         self.y0 = u0 @ y_of_u + np.log(np.abs(r0)) @ self.w_of_y.T
+
+    def cut(self, keep) -> "_Reflected":
+        """These coordinates for the rows that ``keep`` indexes."""
+        new = copy(self)
+        new.sign = self.sign[keep]
+        return new
 
     def log_g(self, y: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """u = log g from y (coordinates on the last axis); ``sign`` must

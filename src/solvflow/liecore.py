@@ -220,10 +220,15 @@ def unimodularity_defects(c: np.ndarray) -> np.ndarray:
 
 
 def change_basis(sc: StructureConstants, t: BasisChange) -> StructureConstants:
-    """Structure constants in the basis y_i = t.matrix[i,k] x_k."""
+    """Structure constants in the basis y_i = t.matrix[i,k] x_k, exactly
+    antisymmetric: the einsum sums c[i,j,k] and c[j,i,k] in different
+    orders, so only its i < j half is kept and completed as in
+    :func:`_bracket_tensor`."""
     if t.dim != sc.dim:
         raise ValueError("basis change dimension mismatch")
     m = t.matrix
     inv = t.inverse().matrix
     c_new = np.einsum("pi,qj,ijk,kr->pqr", m, m, sc.c, inv)
-    return StructureConstants(c_new)
+    r = np.arange(sc.dim)
+    half = np.where((r[:, None] < r)[:, :, None], c_new, 0.0)
+    return StructureConstants(half - half.swapaxes(0, 1))

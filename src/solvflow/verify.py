@@ -258,7 +258,8 @@ class VerificationReport:
 
     ``runs`` is keyed by the ``_RUNS`` key or, for criterion 4's draws, by
     ``c4_<model>_<k>``; each entry gives the run's own ``solver``,
-    ``termination`` and ``max_drift``, and in ``solve`` the index into
+    ``termination``, ``max_drift``, ``steps_set`` and ``retired_at_step``
+    (see :class:`~solvflow.flow.Trajectory`), and in ``solve`` the index into
     ``solves`` of the stacked solve that produced it.  ``solves`` gives each
     distinct solve's ``_SOLVE_FACTS`` once.  A check makes one solve."""
 
@@ -679,6 +680,8 @@ class VerifySession:
         solves: dict[tuple, int] = {}  # by a solve's facts; its wall time keeps two apart
         runs = {key: {"solver": traj.meta["solver"], "termination": traj.termination,
                       "max_drift": traj.meta["max_drift"],
+                      "steps_set": traj.meta["steps_set"],
+                      "retired_at_step": traj.meta["retired_at_step"],
                       "solve": solves.setdefault(tuple(traj.meta[f] for f in _SOLVE_FACTS),
                                                  len(solves))}
                 for key, traj in self._cache.items()}

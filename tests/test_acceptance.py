@@ -110,7 +110,8 @@ def test_report_gives_each_run_and_its_one_solve(report):
     # criterion 4's draws share one stacked solve, which the report gives once
     assert set(report.runs) == set(_RUNS) | C4_KEYS
     for key, run in report.runs.items():
-        assert set(run) == {"solver", "termination", "max_drift", "solve"}, key
+        assert set(run) == {"solver", "termination", "max_drift", "solve", "steps_set",
+                            "retired_at_step"}, key
         assert run["termination"] == "reached_t_end", key
         assert run["solve"] == 0, key
         assert math.isfinite(run["max_drift"]), key

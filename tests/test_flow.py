@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.sparse import block_diag
 
 from solvflow import catalog, flow
@@ -268,7 +270,7 @@ class TestIntegrate:
             assert set(traj.meta) == {"t_end", "rel_tol", "abs_tol", "solver", "batch_size",
                                       "solver_rtol", "solver_atol", "nfev", "steps",
                                       "rejected_steps", "min_step_log_t", "wall_s",
-                                      "max_drift"}
+                                      "max_drift", "steps_set", "retired_at_step"}
             assert traj.meta["batch_size"] == 1
             assert (traj.meta["solver_rtol"], traj.meta["solver_atol"]) == (1e-13, 1e-15)
             assert traj.meta["wall_s"] > 0.0
@@ -436,8 +438,8 @@ class TestIntegrateMany:
             assert deviation(traj, ref) <= float(np.max(np.abs(in_t - ref))), key
 
     def test_rowwise_norm_is_the_largest_row_norm(self):
-        # each row's norm is scipy's own DOP853 norm of that row alone, so a
-        # scipy upgrade that changes the private hook fails here
+        # the solver's own row-wise norm, which its step calls: each row's
+        # norm is scipy's DOP853 norm of that row alone
         rng = np.random.default_rng(7)
         for rows in (1, 3):
             solver = flow.RowwiseDOP853(lambda t, y: -y, 0.0, np.ones(5 * rows), 1.0,
@@ -462,6 +464,99 @@ class TestIntegrateMany:
             extra = meta["nfev"] - 2 - 12 * (meta["steps"] + meta["rejected_steps"])
             assert extra % 3 == 0 and 0 <= extra <= 3 * meta["steps"]
             assert 0.0 < meta["min_step_log_t"] <= math.log1p(meta["t_end"])
+
+    def test_dense_output_is_scipys_interpolant(self):
+        # the interpolant y_old + F^T b(x) against scipy's nested form, on
+        # random coefficients, and the coefficients of a step against those
+        # scipy's dense output computes from the same stages
+        solver = flow.RowwiseDOP853(lambda t, y: -y * np.cos(t), 0.0, np.ones(10), 1.0,
+                                    rows=2, counts={})
+        solver.step()
+        ours = solver.dense_output()
+        rng = np.random.default_rng(11)
+        for draw in range(20):
+            n = 5 * (1 + draw % 3)
+            t_old, h = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 2.0)
+            y_old, F = rng.normal(size=n), rng.normal(size=(7, n))
+            t = t_old + np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 10)]) * h
+            got = type(ours)(t_old, t_old + h, y_old, F)
+            want = Dop853DenseOutput(t_old, t_old + h, y_old, F)
+            assert got(t).shape == (n, len(t))
+            assert np.max(np.abs(got(t) - want(t))) <= 1e-14 * np.max(np.abs(want(t)))
+            for tk in (t[0], t[1], t[-1]):  # scalar times, the step's ends among them
+                assert got(tk).shape == (n,)
+                assert np.max(np.abs(got(tk) - want(tk))) <= 1e-14 * np.max(np.abs(want(tk)))
+        t = np.linspace(solver.t_old, solver.t, 7)
+        want = DOP853._dense_output_impl(solver)(t)
+        assert np.max(np.abs(ours(t) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_rows_retire_at_their_own_horizon(self, monkeypatch):
+        # plain and reflected rows to 10, 1e3 and 1e6: after each horizon the
+        # right-hand side is rebuilt once and evaluates only the live rows
+        problems = [FlowProblem(model, InitialData(lam), t_end) for model, lam, t_end in (
+            (ModelId.D3, (1.0, 1.2, 0.8, 1.5, 2.0), 10.0),
+            (ModelId.D11, (1.0, 2.0, 1.0, 1.0, 1.0), 1e3),
+            (ModelId.D3, (1.3, 0.7, 2.0, 1.1, 0.9), 1e6),
+            (ModelId.D11, (1.5, 0.8, 1.7, 1.2, 0.6), 10.0),
+            (ModelId.D3, (0.6, 1.4, 0.9, 2.0, 1.2), 1e3),
+            (ModelId.D11, (1.0, 1.0, 1.0, 2.0, 1.0), 1e6))]
+        calls = []  # per call of the right-hand side: [live rows, rows evaluated]
+        real_stacked, real_union, real_reflected = (flow._stacked_rhs, flow._union_rhs,
+                                                    flow._Reflected.rhs)
+
+        def stacked_rhs(blocks, coords, bounds, live):
+            rhs = real_stacked(blocks, coords, bounds, live)
+
+            def counted(tau, y):
+                calls.append([int(live.sum()), 0])
+                return rhs(tau, y)
+            return counted
+
+        def union_rhs(blocks, keep):  # the D3 rows and the tied D11 row
+            rhs = real_union(blocks, keep)
+
+            def counted(u):
+                calls[-1][1] += len(u)
+                return rhs(u)
+            return counted
+
+        def reflected_rhs(self, y):  # the other D11 rows
+            calls[-1][1] += len(y)
+            return real_reflected(self, y)
+
+        monkeypatch.setattr(flow, "_stacked_rhs", stacked_rhs)
+        monkeypatch.setattr(flow, "_union_rhs", union_rhs)
+        monkeypatch.setattr(flow._Reflected, "rhs", reflected_rhs)
+        # the solver's counts (rows in stacked order), and the live rows and
+        # a copy of steps_set at each rebuild
+        solver, rebuilt = {}, []
+        real_solve_ivp = flow.solve_ivp
+
+        def solve_ivp(*args, counts, live_rhs, **kwargs):
+            solver["counts"] = counts
+
+            def rebuild(live):
+                rebuilt.append((live.copy(), list(counts["steps_set"])))
+                return live_rhs(live)
+            return real_solve_ivp(*args, counts=counts, live_rhs=rebuild, **kwargs)
+
+        monkeypatch.setattr(flow, "solve_ivp", solve_ivp)
+        batch = integrate_many(problems)
+        monkeypatch.undo()
+        assert [live.sum() for live, _ in rebuilt] == [4, 2]
+        assert [k for k, _ in itertools.groupby(live for live, _ in calls)] == [6, 4, 2]
+        assert all(live == rows for live, rows in calls)
+        final = solver["counts"]["steps_set"]
+        for live, steps_set in rebuilt:  # a retired row's count stops growing
+            assert all(final[k] == steps_set[k] for k in np.flatnonzero(~live))
+        steps = batch[0].meta["steps"]
+        retired = [traj.meta["retired_at_step"] for traj in batch]
+        assert retired[2] is None and retired[5] is None
+        assert retired[0] == retired[3] < retired[1] == retired[4] < steps
+        for problem, traj in zip(problems, batch):
+            assert traj.termination == "reached_t_end"
+            assert traj.meta["steps_set"] <= (traj.meta["retired_at_step"] or steps)
+            assert deviation(traj, np.log(integrate(problem).coeffs)) <= 1e-9
 
     def test_rows_conserve_named_monomials(self, criterion_4_batches):
         for model, (problems, batch) in criterion_4_batches.items():
