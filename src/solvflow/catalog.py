@@ -153,6 +153,13 @@ _PARAM_NAMES: dict[ModelId, tuple[str, ...]] = {
 }
 
 
+def _check_eps(*values: float) -> None:
+    """Refuse a D11 eps that is not +1 or -1."""
+    bad = [e for e in values if e not in (1.0, -1.0)]
+    if bad:
+        raise ValueError(f"D11 requires eps in {{+1, -1}}, got {bad[0]}")
+
+
 def _check_params(model: ModelId, params: Mapping[str, float], stacked: bool = False) -> dict:
     """All of the model's parameters, the missing ones 0 (eps 1): floats for
     one table, or arrays over a stack of tables if ``stacked``."""
@@ -164,9 +171,7 @@ def _check_params(model: ModelId, params: Mapping[str, float], stacked: bool = F
     full = {n: number(params.get(n, 0.0)) for n in names}
     if model is ModelId.D11:
         eps = full["eps"] = number(params.get("eps", 1.0))
-        bad = [e for e in (np.unique(eps).tolist() if stacked else (eps,)) if e not in (1.0, -1.0)]
-        if bad:
-            raise ValueError(f"D11 requires eps in {{+1, -1}}, got {bad[0]}")
+        _check_eps(*(np.unique(eps).tolist() if stacked else (eps,)))
     return full
 
 
@@ -182,8 +187,7 @@ def x_basis(model: ModelId, eps: float = 1.0) -> StructureConstants:
     elif model is ModelId.D5:
         entries = {(1, 2, 0): 1.0, (1, 4, 1): 1.0, (2, 4, 2): -1.0, (3, 4, 0): 1.0}
     else:  # D11
-        if eps not in (1.0, -1.0):
-            raise ValueError("D11 requires eps in {+1, -1}")
+        _check_eps(eps)
         entries = {(1, 2, 0): 1.0, (1, 4, 2): 1.0, (2, 4, 1): -1.0, (3, 4, 0): eps}
     return StructureConstants.from_brackets(len(COMPONENTS), entries)
 
@@ -344,8 +348,7 @@ def constrained_params(model: ModelId, eps: float = 1.0) -> dict[str, float]:
     diagonal metric is diagonal, so the flow preserves diagonality."""
     model = ModelId(model)
     if model is ModelId.D11:
-        if eps not in (1.0, -1.0):
-            raise ValueError("D11 requires eps in {+1, -1}")
+        _check_eps(eps)
         p = {n: 0.0 for n in _PARAM_NAMES[model]}
         p["kappa"] = eps
         p["eps"] = eps

@@ -6,21 +6,15 @@ is a linear first integral of u, which Runge-Kutta methods keep to
 rounding, and g = exp(u) stays positive without a floor or an event.  A
 finite-time collapse (u -> -inf) ends the run as a step-size underflow.
 
-The integrator is DOP853, an 8(5,3) embedded pair with PI step control
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  scipy's ``solve_ivp``
-drives it and scipy's ``DOP853`` gives the tableau, the tolerance checks
-and the first step; the step itself, the dense output and the retirement
-of finished rows are this module's (``RowwiseDOP853``).  scipy is loaded
-at the first solve, not on import.  Loading ``scipy.integrate``, with the
-``scipy.linalg`` it pulls in, takes about 0.6 s on 2 cores, where
-``import solvflow`` without it takes about 0.22 s; so the commands and
-callers that never integrate skip that cost, and the first solve in a
-process pays it.  The solver is always called through the module attribute
+The integrator is DOP853 for stacked rows, in :mod:`solvflow.dop853`,
+which loads scipy.  This module imports it at the first solve, not on
+import, so the commands and callers that never integrate skip that cost.
+The solver is always called through the module attribute
 ``flow.solve_ivp``, with the step method ``flow.RowwiseDOP853``; the first
-access of each resolves or builds it and stores it, so a tracer or a test
-that replaces ``solve_ivp`` sees every solve.  Samples are recorded on a
-linear grid on [0, 1] and a geometric grid afterwards, which is what the
-power-law fits consume.
+access of each takes it from the integrator module and stores it, so a
+tracer or a test that replaces ``solve_ivp`` sees every solve.  Samples are
+recorded on a linear grid on [0, 1] and a geometric grid afterwards, which
+is what the power-law fits consume.
 
 The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt.
 Its solutions approach power laws g ~ c t^k, which are nearly straight
@@ -74,9 +68,11 @@ stepping, which is about the same at any width, is paid once for all of
 them, and :func:`integrate` is the batch of one.  The solve runs to the
 largest ``t_end`` over the union of the rows' sample grids, and each row
 keeps its own grid.  A row leaves the solve at the first step that starts
-at or past its own ``t_end``: its derivative is zeroed, so it stays put at
-no cost in evaluations, and the right-hand side is rebuilt, once per
-horizon, for the rows still live.  Each distinct table, a catalog model
+at or past its own ``t_end``, or where its step fails, as a collapsing row's
+does: its derivative is zeroed, so it stays put at no cost in evaluations,
+and the right-hand side is rebuilt for the rows still live.  A failed row's
+samples end where it left, and the other rows go on, to the last end
+among them, so every row ends where its own run would, in one solve.  Each distinct table, a catalog model
 with its parameters or an explicit ``brackets`` object, is compiled once,
 and its rows form one block per set of pairs they take reflected or tied.
 The right-hand side fills each block's slice: a reflected block through
@@ -119,6 +115,7 @@ import csv as _csv
 import json as _json
 import logging
 import math
+import numbers
 import sys
 from copy import copy
 from dataclasses import dataclass, field, replace
@@ -157,204 +154,20 @@ _LINEAR_SAMPLES = 33
 _TOL_DIVISOR = 10
 _RTOL_FLOOR = 100 * sys.float_info.epsilon
 
-# DOP853's step-size control, as in scipy: the safety factor, and the
-# smallest and largest factor by which one step may change the next
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_TINY = math.ulp(0.0)
-
-
-def _load_solve_ivp():
-    start = perf_counter()
-    from scipy.integrate import solve_ivp
-
-    log.debug("loaded scipy.integrate in %.3fs", perf_counter() - start)
-    return solve_ivp
-
-
-def _build_rowwise_dop853():
-    from scipy.integrate import DOP853, DenseOutput
-
-    class Dop853Interpolant(DenseOutput):
-        """DOP853's 7th-order interpolant on one step [t_old, t] of length
-        h: y_old + F^T b(x), x = (t - t_old)/h, where b holds the running
-        products of x, 1 - x, x, 1 - x, ...  This is scipy's nested form
-        expanded, one ``cumprod`` and one product for any number of
-        times."""
-
-        def __init__(self, t_old, t, y_old, F):
-            super().__init__(t_old, t)
-            self.h = t - t_old
-            self.y_old = y_old
-            self.F = F
-
-        def _call_impl(self, t):
-            x = (t - self.t_old) / self.h
-            factors = np.empty((len(self.F), *x.shape))
-            factors[0::2] = x
-            factors[1::2] = 1.0 - x
-            # (time, coordinate), or (coordinate,) for a scalar t
-            y = factors.cumprod(axis=0).T @ self.F + self.y_old
-            return y.T
-
-    class RowwiseDOP853(DOP853):
-        """scipy's DOP853 pair, first step and tolerance checks, with our
-        own step and dense output, for ``rows`` stacked rows of equal width,
-        each held to its own tolerance: the error norm is the largest of the
-        rows' own DOP853 norms.
-
-        The step calls the right-hand side ``fun`` as given, uncounted, and
-        adds to ``nfev`` itself: 12 evaluations per attempted step and 3
-        per dense output.  A step is accepted exactly when the norm is
-        below 1, so the norm also records, in the dict ``counts``, the
-        accepted steps (``steps``), the rejected ones (``rejected_steps``),
-        the smallest accepted step (``min_step``) and, in ``steps_set``, for
-        each row the accepted steps at which its norm was the largest and
-        not 0.
-
-        With ``row_ends``, each row's end in the solver's time, a row leaves
-        the solve at the first step that starts at or past its end: its
-        derivative is zeroed, so its y stays put and its norm is 0, and from
-        then on the steps call ``live_rhs(live)``, the right-hand side of
-        the rows that the boolean ``live`` marks, with 0 for the others.
-        ``counts["retired_at_step"]`` gives for each row the accepted steps
-        made before it left, or None.  In ``solvflow check``'s solve, whose
-        rows end at t = 10, 1e3, 1e4 and 1e6, that takes 1,271 evaluations
-        and 87 steps, where carrying every row to 1e6 took 1,421 and 97."""
-
-        # the interpolant's coefficients F = [1, -1, 2, 0, ...] dy + h Q K,
-        # dy = y - y_old, from the 16 stages that the dense output completes
-        # (K[0] is the step's first derivative and K[12] its last)
-        Q = np.zeros((7, DOP853.D.shape[1]))
-        Q[1, 0] = 1.0
-        Q[2, [0, DOP853.n_stages]] = -1.0
-        Q[3:] = DOP853.D
-        DY = np.array([1.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0])[:, None]
-
-        def __init__(self, fun, t0, y0, t_bound, *, rows, counts, row_ends=None,
-                     live_rhs=None, **options):
-            self.rows = rows
-            self.counts = counts
-            counts.update(steps=0, rejected_steps=0, min_step=math.inf, steps_set=[0] * rows,
-                          retired_at_step=[None] * rows)
-            super().__init__(fun, t0, y0, t_bound, **options)
-            self.rhs = fun
-            self.width = self.n // rows
-            # a step never starts at t_bound, so a row that ends there never leaves
-            self.ends = np.full(rows, t_bound) if row_ends is None else np.asarray(row_ends)
-            self.next_end = float(self.ends.min())
-            self.live = np.ones(rows, dtype=bool)
-            self.live_rhs = live_rhs
-            self.E53 = np.vstack([self.E5, self.E3])
-            # the weights of all 16 stages by row: A for stages 1-11, B in
-            # row 12 and the dense output's stages 13-15.  Each attempt stores
-            # h times them in hW, which the dense output of an accepted step
-            # reuses
-            K, n = self.K_extended, self.n_stages
-            self.W = np.zeros((len(K), len(K)))
-            self.W[:n, :n], self.W[n, :n], self.W[n + 1:] = self.A, self.B, self.A_EXTRA
-            self.hW = np.empty_like(self.W)
-            self.hB = self.hW[n, :n]
-            # each stage s as (h times its weights, the stages they combine,
-            # its node, where it goes)
-            nodes = np.concatenate([self.C, [1.0], self.C_EXTRA]).tolist()
-            self.stages = [(self.hW[s, :s], K[:s], nodes[s], K[s]) for s in range(1, n)]
-            self.extra_stages = [(self.hW[s, :s], K[:s], nodes[s], K[s])
-                                 for s in range(n + 1, len(K))]
-
-        def _estimate_error_norm(self, K, h, scale):
-            # both embedded estimates from one product, squared and summed by row
-            err = (self.E53 @ K) / scale
-            err5_2, err3_2 = np.square(err, out=err).reshape(2, self.rows, -1).sum(axis=2)
-            # a row without error has numerator and denominator 0, and the
-            # smallest positive float in place of that 0 gives it norm 0; a
-            # NaN estimate stays NaN, which rejects the step, as in scipy's norm
-            denom = np.maximum(err5_2 + 0.01 * err3_2, _TINY) * self.width
-            row_norms = err5_2 / np.sqrt(denom)
-            largest = int(row_norms.argmax())
-            norm = abs(h) * float(row_norms[largest])
-            if norm < 1.0:
-                self.counts["steps"] += 1
-                self.counts["min_step"] = min(self.counts["min_step"], abs(float(h)))
-                if norm > 0.0:
-                    self.counts["steps_set"][largest] += 1
-            else:
-                self.counts["rejected_steps"] += 1
-            return norm
-
-        def _retire(self, t):
-            live = self.ends > t
-            for k in np.flatnonzero(self.live & ~live).tolist():
-                self.counts["retired_at_step"][k] = self.counts["steps"]
-            self.live = live
-            self.f = np.where(np.repeat(live, self.width), self.f, 0.0)
-            self.rhs = self.live_rhs(live)
-            self.next_end = float(self.ends[live].min())
-
-        def _step_impl(self):
-            t = self.t
-            if t >= self.next_end:
-                self._retire(t)
-            y, f, K, rhs = self.y, self.f, self.K, self.rhs
-            min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-            h_abs = float(self.h_abs)
-            if h_abs > self.max_step:
-                h_abs = self.max_step
-            elif h_abs < min_step:
-                h_abs = min_step
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    return False, self.TOO_SMALL_STEP
-                t_new = t + h_abs * self.direction
-                if self.direction * (t_new - self.t_bound) > 0:
-                    t_new = self.t_bound
-                h = t_new - t
-                h_abs = abs(h)
-                K[0] = f
-                np.multiply(self.W, h, out=self.hW)
-                for a, done, c, stage in self.stages:
-                    stage[:] = rhs(t + c * h, y + a @ done)
-                y_new = y + self.hB @ K[:-1]
-                f_new = rhs(t_new, y_new)
-                K[-1] = f_new
-                self.nfev += 12
-                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-                error_norm = self._estimate_error_norm(K, h, scale)
-                if error_norm < 1.0:
-                    factor = (_MAX_FACTOR if error_norm == 0.0 else
-                              min(_MAX_FACTOR, _SAFETY * error_norm ** self.error_exponent))
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** self.error_exponent)
-                rejected = True
-            self.h_previous = h
-            self.y_old, self.t, self.y = y, t_new, y_new
-            self.h_abs = h_abs
-            self.f = f_new
-            return True, None
-
-        def _dense_output_impl(self):
-            K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
-            for a, done, c, stage in self.extra_stages:
-                stage[:] = self.rhs(t_old + c * h, y_old + a @ done)
-            self.nfev += 3
-            F = self.DY * (self.y - y_old) + h * (self.Q @ K)
-            return Dop853Interpolant(t_old, self.t, y_old, F)
-
-    return RowwiseDOP853
-
-
-_LAZY = {"solve_ivp": _load_solve_ivp, "RowwiseDOP853": _build_rowwise_dop853}
-
-
 def __getattr__(name: str):
-    """Load ``solve_ivp`` and build ``RowwiseDOP853`` at their first use,
-    and keep each as a module global (PEP 562), so that ``import solvflow``
-    loads no scipy."""
-    if name not in _LAZY:
+    """Import the integrator module, which loads scipy, at the first use of
+    ``solve_ivp`` or ``RowwiseDOP853``, and keep the name asked for as a
+    module global (PEP 562): ``import solvflow`` loads no scipy, and a
+    ``solve_ivp`` that a test or tracer set before the first solve stays."""
+    if name not in ("solve_ivp", "RowwiseDOP853"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _LAZY[name]()
-    return value
+    start = perf_counter()
+    loaded = f"{__package__}.dop853" in sys.modules
+    from . import dop853
+
+    if not loaded:
+        log.debug("loaded scipy.integrate in %.3fs", perf_counter() - start)
+    return globals().setdefault(name, getattr(dop853, name))
 
 
 @dataclass(frozen=True)
@@ -411,8 +224,8 @@ class FlowProblem:
             raise ValueError(f"rel_tol must be at least {_TOL_DIVISOR * _RTOL_FLOOR:.3g}: "
                              f"the solver runs at rel_tol/{_TOL_DIVISOR}, and scipy "
                              f"raises a relative tolerance below {_RTOL_FLOOR:.3g}")
-        if self.samples_per_decade < 1:
-            raise ValueError("sampling grid too coarse")
+        if not isinstance(self.samples_per_decade, numbers.Integral) or self.samples_per_decade < 1:
+            raise ValueError("samples_per_decade must be a positive integer")
         if not isinstance(self.initial, DiagonalMetric):
             object.__setattr__(self, "initial", DiagonalMetric(tuple(self.initial)))
 
@@ -440,9 +253,11 @@ class Trajectory:
     at which this row's error norm was the largest of all rows' (and not 0),
     so that it set the step size; and ``retired_at_step``, the number of
     accepted steps after which the row left the solve, having reached its
-    own ``t_end`` before the others, or None if it stayed to the end.  It
-    also gives the worst relative drift of the model's named conserved
-    monomials over the run (``max_drift``; 0 for explicit brackets).
+    own ``t_end`` before the others or having failed (``step_failure``,
+    with scipy's reason in ``solver_message``), or None if it stayed to the
+    end.  It also gives the worst relative drift of the model's named
+    conserved monomials over the run (``max_drift``; 0 for explicit
+    brackets).
     Diagonality needs no per-sample record: :func:`integrate` refuses,
     before solving, any brackets whose off-diagonal Ricci monomials do not
     all cancel.
@@ -613,21 +428,12 @@ def integrate_many(problems: Sequence[FlowProblem]) -> list[Trajectory]:
     module docstring).  Each trajectory has exactly its own problem's sample
     times; its ``meta`` gives its own tolerances, ``t_end`` and, in
     ``solver``, coordinates, and the stacked solve's ``batch_size``,
-    ``nfev`` and step counts.  A finite-time collapse of one row stops the
-    shared step, so the rows that a stacked solve left short of their own
-    ``t_end`` are repeated one at a time, and every row ends where its own
-    run would.
+    ``nfev`` and step counts.  A row that collapses in finite time leaves
+    the solve where its step fails, marked ``step_failure`` with its samples
+    up to there, and the other rows go on to the last end among them: every
+    row ends where its own run would, in one solve.
     """
-    problems = list(problems)
-    trajs = _integrate_batch(problems)
-    redo = [k for k, traj in enumerate(trajs)
-            if traj.termination == TERM_STEP_FAILURE and traj.meta["batch_size"] > 1]
-    if redo:
-        log.debug("stacked solve stopped at t=%g; solving its %d rows one at a time",
-                  trajs[redo[0]].times[-1], len(redo))
-    for k in redo:
-        trajs[k] = _integrate_batch([problems[k]])[0]
-    return trajs
+    return _integrate_batch(list(problems))
 
 
 def _invariant_swaps(terms: FlowTerms) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -731,10 +537,11 @@ def _tied(terms: FlowTerms, ties) -> FlowTerms:
 def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
            u0: np.ndarray) -> list[Trajectory]:
     """One DOP853 solve in log(1+t) of the M rows' stacked coordinates,
-    block after block, to the largest ``t_end``, each row held to a tenth
-    of its own problem's tolerances: log g itself, or with each of a block's
-    pairs reflected (see the module docstring).  The solver samples the
-    union of the rows' grids, and each row keeps exactly its own grid."""
+    block after block, to the largest ``t_end`` of the rows that have not
+    failed, each row held to a tenth of its own problem's tolerances: log g
+    itself, or with each of a block's pairs reflected (see the module
+    docstring).  The solver samples the union of the rows' grids, and each
+    row keeps exactly its own grid, up to where it failed if it did."""
     m, n = u0.shape
     # plain blocks first, so that several of them share one product
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
@@ -746,6 +553,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
+    taus = np.log1p(times)
     horizons = sorted({t_end for t_end, _ in grids})
     # module attributes, which load scipy at first use (outside the timed
     # solve) and which a tracer or test may have replaced
@@ -759,7 +567,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
-        t_eval=np.log1p(times),
+        t_eval=taus,
         rtol=np.repeat([problems[k].rel_tol / _TOL_DIVISOR for k in stacked], n),
         atol=np.repeat([problems[k].abs_tol / _TOL_DIVISOR for k in stacked], n),
         rows=m,
@@ -768,6 +576,8 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         live_rhs=rhs,
     )
     wall_s = perf_counter() - start
+    # where in tau each failed row left, by problem
+    exits = {k: tau for k, tau in zip(stacked, counts["failed_at"]) if tau is not None}
     meta = {"solver": "DOP853 on log g in log(1+t)", "batch_size": m, "nfev": int(sol.nfev),
             "steps": counts["steps"], "rejected_steps": counts["rejected_steps"],
             "min_step_log_t": counts["min_step"] if counts["steps"] else None,
@@ -776,7 +586,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
              "wall=%.3fs %s [%s]", ", ".join(block.label for block in blocks), m,
              ",".join(f"{t:g}" for t in horizons), sol.nfev, counts["steps"],
              counts["rejected_steps"], counts["min_step"], wall_s,
-             TERM_STEP_FAILURE if sol.status == -1 else TERM_REACHED, meta["solver"])
+             TERM_STEP_FAILURE if exits else TERM_REACHED, meta["solver"])
 
     # the samples are the grids' own times, not expm1 of the solver's; a
     # solve whose first step fails returns no sample, not even t = 0
@@ -795,29 +605,31 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
             u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
         monos = () if block.model is None else catalog.model_invariants(block.model).monomials
-        # the block's rows of each grid, exponentiated and their drifts taken as one stack
+        # the block's rows of each grid and exit, exponentiated and their
+        # drifts taken as one stack
         on_grid: dict = {}
         for at, k in enumerate(block.rows):
-            on_grid.setdefault(row_grids[k], []).append(at)
-        for grid, ats in on_grid.items():
+            on_grid.setdefault((row_grids[k], exits.get(k)), []).append(at)
+        for (grid, left), ats in on_grid.items():
             ks, pick = [block.rows[at] for at in ats], picks[grid]
+            if left is not None:  # a failed row's samples end where it left
+                pick = pick & (taus[:len(sampled)] <= left)
             coeffs = np.exp(u[ats][:, pick])
             coeffs[:, 0] = lam[ks]  # exp(log(lam)) can be an ulp off the initial data
             drifts = np.zeros(len(ks))
             for mono in monos:
                 drifts = np.maximum(drifts, mono.drift(coeffs))
-            reached = coeffs.shape[1] == len(grids[grid])
             for k, row, drift in zip(ks, coeffs, drifts.tolist()):
                 p = problems[k]
                 row_meta = {"t_end": p.t_end, "rel_tol": p.rel_tol, "abs_tol": p.abs_tol,
                             **block_meta, **own[k], "solver_rtol": p.rel_tol / _TOL_DIVISOR,
                             "solver_atol": p.abs_tol / _TOL_DIVISOR, "max_drift": drift}
-                if not reached:
-                    row_meta["solver_message"] = sol.message
+                if left is not None:
+                    row_meta["solver_message"] = method.TOO_SMALL_STEP
                 trajs[k] = Trajectory(
                     times=sampled[pick],
                     coeffs=row,
-                    termination=TERM_REACHED if reached else TERM_STEP_FAILURE,
+                    termination=TERM_REACHED if left is None else TERM_STEP_FAILURE,
                     model=block.model,
                     params=block.params,
                     meta=row_meta,

@@ -158,6 +158,13 @@ class TestConstrainedParams:
             assert p["kappa"] ** 2 == 1.0
             assert all(p[n] == 0.0 for n in ("alpha", "beta", "gamma", "delta", "eta", "rho", "sigma"))
 
+    def test_d11_eps_refused_wherever_it_is_given(self):
+        for refuse in (lambda: constrained_params(ModelId.D11, eps=0.5),
+                       lambda: catalog.x_basis(ModelId.D11, eps=0.5),
+                       lambda: build_model(ModelId.D11, {"eps": 0.5})):
+            with pytest.raises(ValueError, match="^D11 requires eps in {[+]1, -1}, got 0.5$"):
+                refuse()
+
 
 class TestInvariants:
     def test_d1_monomials(self):

@@ -316,6 +316,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0, rel_tol=2.0)
 
+    def test_samples_per_decade_must_be_an_integer(self):
+        for bad in (2.5, "64", 0):
+            with pytest.raises(ValueError, match="^samples_per_decade must be a positive integer"):
+                FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0,
+                            samples_per_decade=bad)
+        problem = FlowProblem(ModelId.D1, InitialData((1, 1, 1, 1, 1)), 1.0,
+                              samples_per_decade=np.int64(8))
+        assert problem.samples_per_decade == 8
+
     def test_table_is_named_once_and_checked_at_construction(self, monkeypatch):
         monkeypatch.setattr(flow, "solve_ivp", no_solver)  # refused before any solve
         lam = InitialData((1.0, 1.2, 0.8, 1.5, 2.25))
@@ -662,25 +671,25 @@ class TestIntegrateMany:
             integrate_many([])
 
     def test_rows_that_reach_their_horizon_are_not_repeated(self, caplog):
-        # su(2) + R^2 from A = B = C = x collapses at t = x.  The stacked
-        # solve runs to t = 10 and stops at t = 1, past the first row's
-        # horizon: that row keeps its samples, and only the second row is
-        # solved again, alone
+        # su(2) + R^2 from A = B = C = x collapses at t = x.  The first row
+        # leaves at its horizon t = 0.5 and the second where its step fails,
+        # near t = 2, in the one stacked solve: no row is solved again
         caplog.set_level(logging.INFO, logger="solvflow.flow")
         problems = [FlowProblem(None, InitialData((1, 1, 1, 1, 1)), 0.5, brackets=SU2),
                     FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0, brackets=SU2)]
         batch = integrate_many(problems)
         solves = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
         assert [line.split(": ")[1].split(" nfev")[0] for line in solves] == [
-            "M=2 t_end=0.5,10", "M=1 t_end=10"]
+            "M=2 t_end=0.5,10"]
         assert batch[0].termination == "reached_t_end"
         assert batch[0].meta["batch_size"] == 2 and "solver_message" not in batch[0].meta
         assert np.array_equal(batch[0].times, flow._sample_times(0.5, 64))
         assert deviation(batch[0], np.log(integrate(problems[0]).coeffs)) <= 1e-9
         own = integrate(problems[1])
         assert batch[1].termination == own.termination == "step_failure"
-        assert batch[1].meta["batch_size"] == 1
-        assert np.array_equal(batch[1].coeffs, own.coeffs)
+        assert batch[1].meta["batch_size"] == 2
+        assert np.array_equal(batch[1].times, own.times)
+        assert deviation(batch[1], np.log(own.coeffs)) <= 1e-9  # 1.7e-12
         assert 1.9 <= batch[1].times[-1] <= 2.0
 
     def test_tied_pair_stays_tied_beside_other_tables(self):
@@ -710,6 +719,50 @@ class TestIntegrateMany:
             assert traj.times[-1] == own.times[-1]
             finals.append(traj.times[-1])
         assert len(set(finals)) == len(finals)  # each row collapses at its own time
+
+    def test_a_collapsing_row_leaves_and_the_others_go_on(self, caplog):
+        # su(2) + R^2 from A = B = C = 2 collapses near t = 2, in one solve
+        # with a plain D3 row and a reflected D11 row to 1e4
+        caplog.set_level(logging.INFO, logger="solvflow.flow")
+        problems = [FlowProblem(ModelId.D3, InitialData((1.0, 1.2, 0.8, 1.5, 2.0)), 1e4),
+                    FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0, brackets=SU2),
+                    FlowProblem(ModelId.D11, InitialData((1.5, 0.8, 1.7, 1.2, 0.6)), 1e4)]
+        batch = integrate_many(problems)
+        solves = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
+        assert len(solves) == 1 and " M=3 t_end=10,10000 " in solves[0]
+        owns = [integrate(problem) for problem in problems]
+        for k in (0, 2):  # 3.0e-12 and 7.9e-12
+            assert batch[k].termination == owns[k].termination == "reached_t_end"
+            assert np.array_equal(batch[k].times, owns[k].times)
+            assert deviation(batch[k], np.log(owns[k].coeffs)) <= 1e-9
+            assert batch[k].meta["retired_at_step"] is None
+        row, own = batch[1], owns[1]
+        assert row.termination == own.termination == "step_failure"
+        assert row.times[-1] == own.times[-1] and 1.9 <= row.times[-1] <= 2.0
+        assert 0 < row.meta["retired_at_step"] < row.meta["steps"]
+        assert row.meta["solver_message"] == own.meta["solver_message"] == (
+            "Required step size is less than spacing between numbers.")
+
+    def test_the_solve_ends_with_its_last_live_row(self, caplog):
+        # the row to 10 collapses near t = 2, and the row to 5, from A = B
+        # = C = 7, would collapse near t = 7: it ends at 5, and the solve
+        # with it, not at the largest horizon
+        caplog.set_level(logging.INFO, logger="solvflow.flow")
+        problems = [FlowProblem(None, InitialData((2, 2, 2, 1, 1)), 10.0, brackets=SU2),
+                    FlowProblem(None, InitialData((7, 7, 7, 1, 1)), 5.0, brackets=SU2)]
+        batch = integrate_many(problems)
+        solves = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solved")]
+        assert len(solves) == 1
+        owns = [integrate(problem) for problem in problems]
+        assert batch[0].termination == owns[0].termination == "step_failure"
+        assert batch[0].times[-1] == owns[0].times[-1] and 1.9 <= batch[0].times[-1] <= 2.0
+        row, own = batch[1], owns[1]
+        assert row.termination == own.termination == "reached_t_end"
+        assert "solver_message" not in row.meta and row.meta["retired_at_step"] is None
+        assert np.array_equal(row.times, own.times) and row.times[-1] == 5.0
+        assert deviation(row, np.log(own.coeffs)) <= 1e-9  # 1.9e-12
+        # no step past t = 5: 6,305, where running on to t = 10 took 11,819
+        assert row.meta["nfev"] < 7000
 
 
 class TestReflectedCoordinates:
