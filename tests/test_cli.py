@@ -253,6 +253,40 @@ def test_check_single_model(tmp_path, capsys):
     assert 8 not in numbers  # D3-specific criterion skipped under the filter
 
 
+def test_check_against_lists_what_moved(tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    assert main(["check", "D5", "--seed", "0", "--out", str(old)]) == 0
+    capsys.readouterr()
+    assert main(["check", "D5", "--seed", "0", "--out", str(new), "--against", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "0 items moved" and "moved:" not in out
+    # one item's value doubled in OLD: that item, with new/old
+    doc = json.loads(old.read_text())
+    criterion, item = next((c["criterion"], item) for c in doc["criteria"] for item in c["items"]
+                           if isinstance(item["computed"], float) and item["computed"] != 0.0)
+    item["computed"] *= 2
+    old.write_text(json.dumps(doc))
+    assert main(["check", "D5", "--seed", "0", "--out", str(new), "--against", str(old)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("moved:")] == [
+        f"moved: criterion {criterion} {item['name']!r} computed: {item['computed'] / 2!r} "
+        f"(old {item['computed']!r}, new/old 0.5)"]
+    assert out[-1] == "1 items moved"
+
+
+@pytest.mark.parametrize("content", [None, "{", "{}", '{"criteria": [1], "runs": {}}'])
+def test_check_against_an_unreadable_report_usage_error(monkeypatch, capsys, tmp_path, content):
+    old = tmp_path / "old.json"
+    if content is not None:
+        old.write_text(content)
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--out", str(tmp_path / "r.json"), "--against", str(old)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{old}: not a readable verification report" in err
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     # console-script path: run a tiny flow end to end in a fresh interpreter
     out = tmp_path / "run.csv"
