@@ -81,12 +81,15 @@ coordinates, and r for each pair it takes reflected, to the exponents of
 every block's terms, ``np.exp`` with a mask takes each live row's own
 terms and leaves the others at 0, a reflected row scales copies of them
 by its pair's factor, and one product with the stacked rates gives every
-derivative.  No other table's term is exponentiated and no -inf reaches
-``exp``: numpy 2.4.6 takes a slow path on -inf (a 90 x 16 ``exp`` takes
-10.7 us when three quarters of it is -inf, 3.0 us when all of it is
-finite), so one product over the union of the tables, with -inf logs for
-the other tables' terms, costs more than its work.  A row that leaves
-clears its row of the mask.  At the check's
+derivative.  Each block fills its own columns of the exponents and rows of
+the rates from its table: a plain block copies them, and a reflected one
+applies u_i, u_j = s ± r/2 to the exponents, s' = (u_i' + u_j')/2 to the
+rates, and gives w' the rates of its copies.  No other table's term is
+exponentiated and no -inf reaches ``exp``: numpy 2.4.6 takes a slow path
+on -inf (a 90 x 16 ``exp`` takes 10.7 us when three quarters of it is
+-inf, 3.0 us when all of it is finite), so one product over the union of
+the tables, with -inf logs for the other tables' terms, costs more than
+its work.  A row that leaves clears its row of the mask.  At the check's
 seed-0 initial state the right-hand side of its 112 rows fell from 27.5 to
 15.5 us per call (2 cores, one BLAS thread).  A batch of one plain block
 with every row live takes its table's ``log_rhs``, as a single run does.
@@ -471,7 +474,10 @@ def _reflected_pairs(moving: list[tuple[int, int]]) -> list[tuple[int, int]]:
 @dataclass
 class _Block:
     """The rows of a stacked solve that share a term table and the pairs
-    they take reflected."""
+    they take reflected.  It owns their coordinates y of log g: each pair
+    (i, j) becomes s = (u_i + u_j)/2 at i and w = log|r|, r = u_i - u_j, at
+    j, and each row keeps the sign of its own r.  Without pairs y is log
+    g."""
 
     model: ModelId | None
     params: dict | None
@@ -489,6 +495,32 @@ class _Block:
         """For the log, e.g. ``D11×20 (B,C) -> (s, log|r|)``."""
         name = self.model.value if self.model is not None else "brackets"
         return " ".join([f"{name}×{len(self.rows)}", *self.reflections])
+
+    @property
+    def ij(self) -> np.ndarray:
+        """The coordinates i and j of the pairs as two rows, in pair order."""
+        return np.array(self.pairs, dtype=int).reshape(-1, 2).T
+
+    def sign(self, u: np.ndarray) -> np.ndarray:
+        """The sign of r = u_i - u_j at log g ``u``, one column per pair."""
+        i, j = self.ij
+        return np.sign(u[..., i] - u[..., j])
+
+    def coords(self, u: np.ndarray) -> np.ndarray:
+        """y at log g ``u`` (coordinates on the last axis)."""
+        i, j = self.ij
+        y = u.copy()
+        y[..., i], y[..., j] = (u[..., i] + u[..., j]) / 2, np.log(np.abs(u[..., i] - u[..., j]))
+        return y
+
+    def log_g(self, y: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """u = log g at y: u_i, u_j = s ± r/2 with r = sign exp(w); ``sign``
+        must broadcast against w."""
+        i, j = self.ij
+        r = sign * np.exp(y[..., j])
+        u = y.copy()
+        u[..., i], u[..., j] = y[..., i] + r / 2, y[..., i] - r / 2
+        return u
 
 
 def _compile(sc: StructureConstants):
@@ -555,8 +587,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     # plain blocks first, as the log line lists them
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
     stacked = [k for block in blocks for k in block.rows]
-    coords = [_Reflected(b.terms, b.pairs, u0[b.rows]) for b in blocks]
-    y0 = np.concatenate([c.y0 for c in coords])
+    y0 = np.concatenate([b.coords(u0[b.rows]) if b.pairs else u0[b.rows] for b in blocks])
     row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
@@ -567,7 +598,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     module = sys.modules[__name__]
     solve_ivp, method = module.solve_ivp, module.RowwiseDOP853
     counts: dict = {}
-    rhs = partial(_stacked_rhs, blocks, _Product(coords))
+    rhs = partial(_stacked_rhs, blocks, _Product(blocks, u0))
     start = perf_counter()
     sol = solve_ivp(
         rhs(np.ones(m, dtype=bool)),
@@ -607,8 +638,8 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     # each row's own facts of the solve, by problem
     own = {k: {"steps_set": counts["steps_set"][at],
                "retired_at_step": counts["retired_at_step"][at]} for at, k in enumerate(stacked)}
-    for block, y, c in zip(blocks, ys, coords):
-        u = c.log_g(y, c.sign[:, None, :]) if block.pairs else y
+    for block, y in zip(blocks, ys):
+        u = block.log_g(y, block.sign(u0[block.rows])[:, None, :]) if block.pairs else y
         for i, j in block.ties:
             u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
@@ -660,91 +691,46 @@ def _stacked_rhs(blocks: list[_Block], product: "_Product", live: np.ndarray):
     return product
 
 
-class _Reflected:
-    """Coordinates y of log g in which the pair (i, j) of each moving swap
-    becomes s = (u_i + u_j)/2 at i and w = log|r|, r = u_i - u_j, at j;
-    each row keeps the sign of its own r.  Without pairs y is log g.  u and
-    dy/dt are linear in (y, r) and (du/dt, dw/dt), so the maps act on the
-    last axis as matrices, composed with the term table where the
-    right-hand side uses them."""
-
-    def __init__(self, terms: FlowTerms, pairs, u0: np.ndarray):
-        i, j = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
-        n_pairs, self.n_terms = len(pairs), len(terms.exps)
-        eye = np.eye(u0.shape[-1])
-        self.j, self.w_of_y = j, eye[:, j]       # w = y[..., j] = y @ w_of_y
-        self.u_of_y = eye.copy()                 # u = y @ u_of_y + r @ u_of_r
-        self.u_of_y[:, j] = eye[:, i]
-        self.u_of_r = 0.5 * (eye[i] - eye[j])
-        y_of_u = eye.copy()                      # dy = du @ y_of_u + dw @ w_of_y.T
-        y_of_u[:, i] = 0.5 * (eye[:, i] + eye[:, j])
-        y_of_u[:, j] = 0.0
-        # w' = (u_i' - u_j')/r.  Paired with its image under the swap,
-        # monomial k adds coef[k] exp(z_k) (1 - exp(-d[k] r)) / (d[k] r) to
-        # it, which stays finite at r = 0 (see the module docstring).  So the
-        # right-hand side takes exp(z) of the terms, z = [y, r] @ z_of_yr,
-        # for du/dt and a copy for each pair, scaled there by that factor
-        # with x = r x_per_r = -d r.  A term with d[k] = 0 adds 0 whatever
-        # its factor; it takes x = _TINY_X r, for which expm1(x)/x is 1
-        # exactly, as at x = 0, and no 0/0 is taken.
-        d = terms.exps[:, i] - terms.exps[:, j]
-        coef = 0.5 * d * (terms.rates[:, i] - terms.rates[:, j])
-        self.z_of_yr = np.vstack([self.u_of_y, self.u_of_r]) @ terms.exps.T
-        self.x_per_r = np.where(d == 0.0, _TINY_X, -d).T
-        self.x_of_r = np.eye(n_pairs).repeat(self.n_terms, axis=1) * self.x_per_r.ravel()
-        dw_of_ez = (coef.T[:, :, None] * self.w_of_y.T[:, None, :]).reshape(-1, eye.shape[0])
-        self.dy_of_ez = np.vstack([terms.rates @ y_of_u, dw_of_ez])
-        r0 = u0[:, i] - u0[:, j]
-        self.sign = np.sign(r0)
-        self.y0 = u0 @ y_of_u + np.log(np.abs(r0)) @ self.w_of_y.T
-
-    def log_g(self, y: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        """u = log g from y (coordinates on the last axis); ``sign`` must
-        broadcast against w."""
-        r = sign * np.exp(y @ self.w_of_y)
-        return y @ self.u_of_y + r @ self.u_of_r
-
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        """dy/dt at y (one row per row of ``sign``): the stacked product of
-        these rows alone."""
-        return _Product([self]).du(y)
-
-
 # r = sign exp(w) is taken at w floored here.  Below it r moves neither
 # exp(z) nor expm1(x)/x = 1 from their values at r = 0, and x = -d r is
-# never 0 where d is not; where d is 0, x = _TINY_X r (see _Reflected)
+# never 0 where d is not; where d is 0, x = _TINY_X r (see _Product)
 _W_FLOOR = -300.0
 _TINY_X = 1e-100
 
 
 class _Product:
-    """du/dt of the stacked rows of several blocks' coordinates as one
-    product, each row exponentiating only its own terms, once.
+    """du/dt of the stacked rows of several blocks as one product, each row
+    exponentiating only its own terms, once.
 
     The input x = [y, r] holds each row's y and then, in one column per
     coordinate j from the smallest that any block reflects into, r = sign
     exp(w) of the row's pair at j, or 0.  One exponent matrix maps x to
-    every block's terms, through its ``z_of_yr``: for a plain block, its
-    table's exponents.  ``np.exp(z, where=own)`` fills each row's own terms
-    and leaves the others at 0, so no term of another table and no -inf
-    reaches ``exp``.  Each reflected block's paired copies, after all
-    blocks' terms, are its terms scaled by expm1(x)/x, x = r x_per_r, and
-    one product with the stacked rates gives du/dt.  A row leaves by its
-    mask: ``keep`` clears its rows of ``own`` and of ``ez``, which then
-    stay 0."""
+    every block's terms: a plain block's are its table's exponents, and a
+    reflected block's follow from u_i, u_j = s ± r/2.  ``np.exp(z,
+    where=own)`` fills each row's own terms and leaves the others at 0, so
+    no term of another table and no -inf reaches ``exp``.  Each reflected
+    block's paired copies, after all blocks' terms, are its terms scaled by
+    expm1(x)/x, x = r x_per_r, and one product with the stacked rates gives
+    du/dt: a plain block's are its table's, and a reflected block's give
+    s' = (u_i' + u_j')/2 and, from the copies, w'.  A row leaves by its
+    mask: ``keep`` clears its rows of ``own`` and of ``ez``, which then stay
+    0."""
 
-    def __init__(self, coords: list[_Reflected]):
-        n = coords[0].u_of_y.shape[0]
-        first = min((j for c in coords for j in c.j), default=n)
-        rows = list(accumulate((len(c.sign) for c in coords), initial=0))
+    def __init__(self, blocks: list[_Block], u0: np.ndarray):
+        """``u0`` is log g at the start, one row per problem: it gives each
+        reflected row the sign of its r."""
+        n = u0.shape[1]
+        first = min((j for b in blocks for _, j in b.pairs), default=n)
+        rows = list(accumulate((len(b.rows) for b in blocks), initial=0))
         # each block's terms, then each block's copies
-        terms = list(accumulate((c.n_terms for c in coords), initial=0))
-        copies = list(accumulate((c.x_per_r.size for c in coords), initial=terms[-1]))
+        sizes = [len(b.terms.exps) for b in blocks]
+        terms = list(accumulate(sizes, initial=0))
+        copies = list(accumulate((len(b.pairs) * k for b, k in zip(blocks, sizes)),
+                                 initial=terms[-1]))
         self.z_of_x = np.zeros((2 * n - first, terms[-1]))
-        self.rates = np.vstack([c.dy_of_ez[:c.n_terms] for c in coords]
-                               + [c.dy_of_ez[c.n_terms:] for c in coords])
-        self.own = self.own_cols = np.asfortranarray(np.eye(len(coords), dtype=bool).repeat(
-            np.diff(rows), axis=0).repeat(np.diff(terms), axis=1))
+        self.rates = np.zeros((copies[-1], n))
+        self.own = self.own_cols = np.asfortranarray(np.eye(len(blocks), dtype=bool).repeat(
+            np.diff(rows), axis=0).repeat(sizes, axis=1))
         # z and ez by column: each term's live rows are one run for the mask
         self.x, self.z, self.ez = (np.zeros((rows[-1], k), order=order) for k, order in (
             (len(self.z_of_x), "C"), (copies[0], "F"), (copies[-1], "F")))
@@ -752,18 +738,35 @@ class _Product:
         # of each reflected block: its w in y and r in x (pair by pair),
         # their signs, x_per_r, x (then the factor), and its terms and copies
         self.reflected = []
-        for c, lo, hi, t0, t1, c0, c1 in zip(coords, rows, rows[1:], terms, terms[1:], copies,
-                                             copies[1:]):
-            self.z_of_x[[*range(n), *(n - first + j for j in c.j)], t0:t1] = c.z_of_yr
-            if c.j:
-                # at most two disjoint pairs in five coordinates: one slice
-                j0, j1 = c.j[0], c.j[-1]
-                w = slice(j0, j1 + (1 if j1 >= j0 else -1), (j1 - j0) or 1)
-                r = self.x[lo:hi, n - first:][:, w]
-                shape = (hi - lo, *c.x_per_r.shape)
-                self.reflected.append(((slice(lo, hi), w), r, r[:, :, None], c.sign, c.x_per_r,
-                                       np.empty(shape), self.ez[lo:hi, None, t0:t1],
-                                       self.ez[lo:hi, c0:c1].reshape(shape)))
+        for b, k, lo, hi, t0, t1, c0, c1 in zip(blocks, sizes, rows, rows[1:], terms, terms[1:],
+                                                copies, copies[1:]):
+            exps, rates = b.terms.exps, b.terms.rates
+            z, dy = self.z_of_x[:, t0:t1], self.rates[t0:t1]
+            z[:n], dy[:] = exps.T, rates
+            if not b.pairs:
+                continue
+            i, j = b.ij
+            # s takes the exponents of u_i and u_j, r half their difference d
+            d = exps[:, i] - exps[:, j]
+            z[i], z[j], z[n - first + j] = z[i] + z[j], 0.0, d.T / 2
+            dy[:, i], dy[:, j] = (rates[:, i] + rates[:, j]) / 2, 0.0
+            # w' = (u_i' - u_j')/r.  Paired with its image under the swap,
+            # monomial k adds coef[k] exp(z_k) (1 - exp(-d[k] r)) / (d[k] r)
+            # to it, which stays finite at r = 0 (see the module docstring):
+            # a copy of the term for each pair, scaled by that factor with
+            # x = r x_per_r = -d r.  A term with d[k] = 0 adds 0 whatever its
+            # factor; it takes x = _TINY_X r, for which expm1(x)/x is 1
+            # exactly, as at x = 0, and no 0/0 is taken.
+            coef = 0.5 * d * (rates[:, i] - rates[:, j])
+            self.rates[c0:c1].reshape(len(j), k, n)[np.arange(len(j)), :, j] = coef.T
+            x_per_r = np.where(d == 0.0, _TINY_X, -d).T
+            # at most two disjoint pairs in five coordinates: one slice
+            w = slice(j[0], j[-1] + (1 if j[-1] >= j[0] else -1), (j[-1] - j[0]) or 1)
+            r = self.x[lo:hi, n - first:][:, w]
+            shape = (hi - lo, *x_per_r.shape)
+            self.reflected.append(((slice(lo, hi), w), r, r[:, :, None], b.sign(u0[b.rows]),
+                                   x_per_r, np.empty(shape), self.ez[lo:hi, None, t0:t1],
+                                   self.ez[lo:hi, c0:c1].reshape(shape)))
 
     def keep(self, live: np.ndarray) -> None:
         """Evaluate only the rows that the boolean ``live`` marks."""

@@ -127,6 +127,20 @@ def _integer_row(values: Sequence[float]) -> list[int]:
     return [int(f * scale) for f in fracs]
 
 
+def integer_kernel(matrix) -> list[tuple[int, ...]]:
+    """The integer vectors x with ``matrix`` @ x = 0, as the canonical
+    basis of :func:`hermite_basis`: exact, each row of the (rows, width)
+    float ``matrix`` scaled to integers by its common denominator.  A matrix
+    without rows gives all of Z^width."""
+    matrix = np.asarray(matrix, dtype=float)
+    n_rows, width = matrix.shape
+    m = [_integer_row(r) for r in matrix]
+    # [M[:, p] | unit_p] span {[M x | x]}; in their echelon basis the rows
+    # that vanish on the M block span exactly the x with M x = 0
+    rows = [[mk[p] for mk in m] + [int(p == q) for q in range(width)] for p in range(width)]
+    return [row[n_rows:] for row in hermite_basis(rows) if not any(row[:n_rows])]
+
+
 def detect_monomials_brackets(
     sc: StructureConstants,
     named: Sequence[InvariantMonomial] = (),
@@ -138,13 +152,8 @@ def detect_monomials_brackets(
     count toward spanning it), so well-known combinations keep their
     familiar form in the output.
     """
-    # [M[:, p] | unit_p] span {[M x | x]}; in their echelon basis the rows
-    # that vanish on the M block span exactly the x with M x = 0
-    rates = compile_flow(sc).rates  # (monomials, dim): M
-    n_mono, dim = rates.shape
-    m = [_integer_row(r) for r in rates]
-    rows = [[mk[p] for mk in m] + [int(p == q) for q in range(dim)] for p in range(dim)]
-    basis = [row[n_mono:] for row in hermite_basis(rows) if not any(row[:n_mono])]
+    # e is conserved iff rates @ e = 0, one row per monomial of the rates
+    basis = integer_kernel(compile_flow(sc).rates)
     out: list[InvariantMonomial] = []
     listed: set[tuple[int, ...]] = set()
     for named_mono in named:

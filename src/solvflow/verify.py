@@ -35,9 +35,9 @@ loop over single draws, and so do the reports.
 
 Drifts of the conserved monomials are taken once per sample grid, not once
 per run: the stacked solve gives each run's ``max_drift`` from one stack of
-the rows of a block that share a grid, and criterion 4 stacks its 20 draws
-per model, which share one grid.  Each run's drift equals the one its own
-samples give, bitwise.
+the rows of a block that share a grid, and criterion 4 reads its 20 draws'
+``max_drift`` per model.  Each run's drift equals the one its own samples
+give, bitwise.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from . import catalog
 from .catalog import ModelId
 from .curvature import COMPONENTS, DiagonalMetric, compile_flow, ricci_forms, ricci_quadratic
 from .flow import FlowProblem, Trajectory, integrate, integrate_many
-from .invariants import detect_monomials, ratio_diagnostics
+from .invariants import detect_monomials, integer_kernel, ratio_diagnostics
 from .liecore import StructureConstants, jacobi_residuals, unimodularity_defects
 from .asymptotics import (
     ClosedFormSolution,
@@ -260,8 +260,9 @@ class VerificationReport:
     ``c4_<model>_<k>``; each entry gives the run's own ``solver``,
     ``termination``, ``max_drift``, ``steps_set`` and ``retired_at_step``
     (see :class:`~solvflow.flow.Trajectory`), and in ``solve`` the index into
-    ``solves`` of the stacked solve that produced it.  ``solves`` gives each
-    distinct solve's ``_SOLVE_FACTS`` once.  A check makes one solve."""
+    ``solves`` of the ``integrate`` or ``integrate_many`` call that solved
+    it.  ``solves`` gives each such call's ``_SOLVE_FACTS`` once, in the
+    order of the calls.  A check makes one solve."""
 
     criteria: list[CriterionResult]
     discrepancies: list[Discrepancy]
@@ -350,6 +351,9 @@ class VerifySession:
         self.seed = int(seed)
         self.models = tuple(ModelId(m) for m in models) if models else ALL_MODELS
         self._cache: dict[str, Trajectory] = {}
+        # the facts of each solve, in call order, and the one of each run
+        self._solves: list[dict] = []
+        self._solve_of: dict[str, int] = {}
         self.discrepancies: list[Discrepancy] = []
 
     # -- helpers ------------------------------------------------------------
@@ -360,8 +364,15 @@ class VerifySession:
     def run(self, key: str) -> Trajectory:
         """The canonical run ``key``, solved on its own if not yet solved."""
         if key not in self._cache:
-            self._cache[key] = integrate(_run_problem(key))
+            self._solved([key], [integrate(_run_problem(key))])
         return self._cache[key]
+
+    def _solved(self, keys: Iterable[str], trajs: list[Trajectory]) -> None:
+        """Cache the runs ``keys``, which one solve gave as ``trajs``."""
+        for key, traj in zip(keys, trajs):
+            self._cache[key] = traj
+            self._solve_of[key] = len(self._solves)
+        self._solves.append({f: trajs[0].meta[f] for f in _SOLVE_FACTS})
 
     def _note_discrepancy(self, d: Discrepancy):
         if all(x.subject != d.subject for x in self.discrepancies):
@@ -430,10 +441,9 @@ class VerifySession:
         items = []
         for model in self.models:
             inv = catalog.model_invariants(model)
-            # the draws share one grid, so each monomial's drifts are one stack
-            coeffs = np.stack([self._cache[f"c4_{model.value}_{k}"].coeffs for k in range(20)])
-            worst = max((float(np.max(mono.drift(coeffs))) for mono in inv.monomials),
-                        default=0.0)
+            # each run's worst drift of the named monomials, which the solve
+            # takes from the run's own samples
+            worst = max(self._cache[f"c4_{model.value}_{k}"].meta["max_drift"] for k in range(20))
             items.append(_below(f"{model.value} invariant drift over 20 runs to 1e4", worst, 1e-8))
             detected = detect_monomials(model)
             have = [m.e for m in detected]
@@ -549,18 +559,26 @@ class VerifySession:
         for d in ratio_diagnostics(ModelId.D3, self.run("d3_unit_1e6")):
             items.append(CheckItem(f"D3 ratio {d.name} at t=1e6",
                                    abs(d.final - d.target) <= 0.01, d.final, d.target, 0.01))
-        sol = _solve_k_system()
+        # the dominant balance of D3's table: with k = rates^T y, each
+        # monomial m has m.k = -1, so (exps rates^T) y = -1, solved exactly
+        # as the integer kernel of [exps rates^T | 1]
+        terms = compile_flow(catalog.build_model(ModelId.D3,
+                                                 catalog.constrained_params(ModelId.D3)))
+        balance = terms.exps @ terms.rates.T
+        kernel = integer_kernel(np.column_stack([balance, np.ones(len(balance))]))
+        # one solution: a kernel of one vector, its last entry not 0
+        [*v, c] = kernel[0] if len(kernel) == 1 else (0,)
+        y = tuple(Fraction(a, c) for a in v) if c else ()
+        # the table lists its monomials by ascending exponents, C/(DE)
+        # first; the solution is listed from A/(CD), its last, down
+        sol = y[::-1]
         expect = (Fraction(2, 11), Fraction(2, 11), Fraction(3, 11), Fraction(3, 11))
         items.append(CheckItem(
             "D3 separable-exponent system solution (rational arithmetic)",
             sol == expect, [str(s) for s in sol], [str(e) for e in expect],
         ))
-        eqs_hold = (
-            3 * sol[0] + sol[1] + sol[3] == 1
-            and 3 * sol[1] + sol[0] + sol[2] == 1
-            and 3 * sol[2] + sol[1] == 1
-            and 3 * sol[3] + sol[0] == 1
-        )
+        eqs_hold = bool(y) and all(sum(Fraction(a) * b for a, b in zip(row, y)) == -1
+                                   for row in balance)
         items.append(CheckItem("D3 separable-exponent equations verified exactly",
                                eqs_hold, eqs_hold, True))
         return items
@@ -669,7 +687,7 @@ class VerifySession:
                         for model in self.models for k in range(20))
         todo = {key: p for key, p in problems.items() if key not in self._cache}
         if todo:
-            self._cache.update(zip(todo, integrate_many(list(todo.values()))))
+            self._solved(todo, integrate_many(list(todo.values())))
         results = []
         for n, title in CRITERION_TITLES.items():
             fn: Callable[[], list[CheckItem]] = getattr(self, f"criterion_{n}")
@@ -677,13 +695,11 @@ class VerifySession:
             items = fn()
             if items:  # else the criterion does not apply to the model filter
                 results.append(CriterionResult(n, title, items, time.perf_counter() - t0))
-        solves: dict[tuple, int] = {}  # by a solve's facts; its wall time keeps two apart
         runs = {key: {"solver": traj.meta["solver"], "termination": traj.termination,
                       "max_drift": traj.meta["max_drift"],
                       "steps_set": traj.meta["steps_set"],
                       "retired_at_step": traj.meta["retired_at_step"],
-                      "solve": solves.setdefault(tuple(traj.meta[f] for f in _SOLVE_FACTS),
-                                                 len(solves))}
+                      "solve": self._solve_of[key]}
                 for key, traj in self._cache.items()}
         return VerificationReport(
             criteria=results,
@@ -692,28 +708,8 @@ class VerifySession:
             seed=self.seed,
             elapsed_s=time.perf_counter() - t_start,
             runs=runs,
-            solves=[dict(zip(_SOLVE_FACTS, facts)) for facts in solves],
+            solves=list(self._solves),
         )
-
-
-def _solve_k_system() -> tuple[Fraction, ...]:
-    """Exact solve of 1 = 3k1+k2+k4, 1 = 3k2+k1+k3, 1 = 3k3+k2, 1 = 3k4+k1."""
-    rows = [
-        [Fraction(3), Fraction(1), Fraction(0), Fraction(1), Fraction(1)],
-        [Fraction(1), Fraction(3), Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(3), Fraction(0), Fraction(1)],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(3), Fraction(1)],
-    ]
-    n = 4
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(rows[r][n] for r in range(n))
 
 
 def run_verification(seed: int = 0,

@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,14 +82,47 @@ def t_solve(terms, problem, times, reflect=False):
     u0 = np.log(problem.initial.array)[None]
     pairs = tuple(pair for pair in flow._reflected_pairs(flow._invariant_swaps(terms)[1])
                   if reflect and u0[0, pair[0]] != u0[0, pair[1]])
-    coords = flow._Reflected(terms, pairs, u0) if pairs else None
-    rhs, y0 = ((terms.log_rhs, u0) if coords is None
-               else (flow._Product([coords]).du, coords.y0))
-    sol = solve_ivp(lambda t, y: rhs(y[None])[0], (0.0, problem.t_end), y0[0],
+    block, product = reflected(terms, u0, pairs)
+    rhs = product.du if pairs else terms.log_rhs
+    sol = solve_ivp(lambda t, y: rhs(y[None])[0], (0.0, problem.t_end), block.coords(u0)[0],
                     method="DOP853", t_eval=times, rtol=problem.rel_tol,
                     atol=problem.abs_tol, max_step=0.1 * (problem.t_end + 1.0))
     assert sol.status == 0
-    return sol.y.T if coords is None else coords.log_g(sol.y.T, coords.sign)
+    return block.log_g(sol.y.T, block.sign(u0)) if pairs else sol.y.T
+
+
+def reflected(terms, u0, pairs=((1, 2),)):
+    """One block of the rows ``u0`` of ``terms`` with ``pairs`` reflected,
+    and the product of its rows, as a stacked solve builds them."""
+    block = flow._Block(None, None, terms, tuple(pairs), list(range(len(u0))))
+    return block, flow._Product([block], u0)
+
+
+def reflected_maps(terms, pairs, u0):
+    """The reflected coordinates of ``pairs`` at the rows ``u0`` as the
+    linear maps they were first written as, on the last axis: y0 = u0 @
+    y_of_u + log|r0| @ w_of_y.T, u = y @ u_of_y + r @ u_of_r with r = sign
+    exp(y @ w_of_y), and dy/dt = ez @ dy_of_ez over the terms and then one
+    copy of them per pair, each copy scaled by expm1(x)/x at x = r @
+    x_of_r.  Without pairs y is log g."""
+    i, j = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+    n_terms, eye = len(terms.exps), np.eye(u0.shape[-1])
+    u_of_y = eye.copy()
+    u_of_y[:, j] = eye[:, i]
+    y_of_u = eye.copy()
+    y_of_u[:, i] = 0.5 * (eye[:, i] + eye[:, j])
+    y_of_u[:, j] = 0.0
+    w_of_y = eye[:, j]
+    d = terms.exps[:, i] - terms.exps[:, j]
+    coef = 0.5 * d * (terms.rates[:, i] - terms.rates[:, j])
+    x_per_r = np.where(d == 0.0, flow._TINY_X, -d).T.ravel()
+    dw_of_ez = (coef.T[:, :, None] * w_of_y.T[:, None, :]).reshape(-1, len(eye))
+    r0 = u0[:, i] - u0[:, j]
+    return SimpleNamespace(
+        j=j, n_terms=n_terms, u_of_y=u_of_y, u_of_r=0.5 * (eye[i] - eye[j]), w_of_y=w_of_y,
+        x_of_r=np.eye(len(pairs)).repeat(n_terms, axis=1) * x_per_r,
+        dy_of_ez=np.vstack([terms.rates @ y_of_u, dw_of_ez]),
+        sign=np.sign(r0), y0=u0 @ y_of_u + np.log(np.abs(r0)) @ w_of_y.T)
 
 
 def tight_reference(terms, problem, times):
@@ -619,10 +653,11 @@ class TestIntegrateMany:
                               terms_of(p.model), (), [k]) for k, p in enumerate(problems)]
         u = np.log(np.random.default_rng(3).uniform(0.1, 10.0, (4, 5)))
         u[1, 2] = u[1, 1]
-        stacked = flow._Product([flow._Reflected(block.terms, (), u[block.rows])
-                                 for block in blocks]).du(u)
+        stacked = flow._Product(blocks, u).du(u)
+        # each table's log_rhs over all four rows: BLAS sums a product of one
+        # row in another order than one of several
         for k, block in enumerate(blocks):
-            assert np.array_equal(stacked[k], block.terms.log_rhs(u[k:k + 1])[0])
+            assert np.array_equal(stacked[k], block.terms.log_rhs(u)[k])
 
     @pytest.mark.parametrize("change", [
         {"model": ModelId.D2, "brackets": None},
@@ -805,14 +840,15 @@ class TestReflectedCoordinates:
         # s' = A/(BC), w' = -(4/E) sinh(r)/r, (log E)' = (4 sinh^2(r/2) + A/D)/E
         terms = terms_of(ModelId.D11, eps=eps, kappa=eps)
         u0 = np.log([[1.3, 2.0, 0.5, 0.8, 1.7], [0.6, 0.9, 1.4, 1.1, 0.7]])
-        coords = flow._Reflected(terms, ((1, 2),), u0)
+        block, product = reflected(terms, u0)
+        y0 = block.coords(u0)
         A, B, C, D, E = np.exp(u0).T
         r = u0[:, 1] - u0[:, 2]
         want = np.column_stack([np.log(A), (u0[:, 1] + u0[:, 2]) / 2, np.log(np.abs(r)),
                                 np.log(D), np.log(E)])
-        assert np.allclose(coords.y0, want, rtol=1e-15, atol=0.0)
-        assert np.allclose(coords.log_g(coords.y0, coords.sign), u0, rtol=0.0, atol=1e-15)
-        dy = coords.rhs(coords.y0)
+        assert np.allclose(y0, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(block.log_g(y0, block.sign(u0)), u0, rtol=0.0, atol=1e-15)
+        dy = product.du(y0)
         assert np.allclose(dy[:, 1], A / (B * C), rtol=1e-14)
         assert np.allclose(dy[:, 2], -4.0 / E * np.sinh(r) / r, rtol=1e-14)
         assert np.allclose(dy[:, 4], (4.0 * np.sinh(r / 2) ** 2 + A / D) / E, rtol=1e-14)
@@ -824,10 +860,10 @@ class TestReflectedCoordinates:
         # RuntimeWarnings are errors in this suite
         terms = terms_of(ModelId.D11)
         u0 = np.log([[1.0, 2.0, 1.0, 1.0, 3.0]])
-        coords = flow._Reflected(terms, ((1, 2),), u0)
-        y = coords.y0.copy()
+        block, product = reflected(terms, u0)
+        y = block.coords(u0)
         y[0, 2] = -3.3e3
-        dy = coords.rhs(y)
+        dy = product.du(y)
         assert np.all(np.isfinite(dy))
         assert dy[0, 2] == pytest.approx(-4.0 / 3.0, rel=1e-15)  # the limit -4/E
 
@@ -837,7 +873,9 @@ class TestReflectedCoordinates:
         # one for r
         terms = terms_of(ModelId.D11, eps=eps, kappa=eps)
         rng = np.random.default_rng(5)
-        coords = flow._Reflected(terms, ((1, 2),), np.log(rng.uniform(0.5, 2.0, (20, 5))))
+        u0 = np.log(rng.uniform(0.5, 2.0, (20, 5)))
+        _, product = reflected(terms, u0)
+        coords = reflected_maps(terms, ((1, 2),), u0)
         z = coords.u_of_y @ terms.exps.T, coords.u_of_r @ terms.exps.T
         z_of_y, z_of_r = (np.tile(zz, 2) for zz in z)
         for _ in range(200):
@@ -848,7 +886,7 @@ class TestReflectedCoordinates:
             x = r @ coords.x_of_r
             ez[:, coords.n_terms:] *= np.divide(np.expm1(x), x, out=np.ones_like(x),
                                                 where=x != 0.0)
-            assert np.array_equal(coords.rhs(y), ez @ coords.dy_of_ez)
+            assert np.array_equal(product.du(y), ez @ coords.dy_of_ez)
 
     def test_generic_d11_keeps_its_order_and_is_not_stiff(self):
         traj = run(ModelId.D11, (1, 2, 1, 1, 1), 1e4)
@@ -916,7 +954,8 @@ class _Built(Exception):
 
 def built_product(monkeypatch, problems):
     """The blocks of ``problems`` in stacked order, each with its
-    coordinates, and their product, as a stacked solve builds them."""
+    coordinates as linear maps, and their product, as a stacked solve builds
+    them."""
     seen = {}
 
     def stop(blocks, product, live):
@@ -928,7 +967,7 @@ def built_product(monkeypatch, problems):
         with pytest.raises(_Built):
             integrate_many(problems)
     u0 = np.log([p.initial.array for p in problems])
-    return [(block, flow._Reflected(block.terms, block.pairs, u0[block.rows]))
+    return [(block, reflected_maps(block.terms, block.pairs, u0[block.rows]))
             for block in seen["blocks"]], seen["product"]
 
 

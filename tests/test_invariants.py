@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solvflow.catalog import InitialData, InvariantMonomial, ModelId, model_invariants
-from solvflow.curvature import DiagonalMetric, ricci_tensor
+from solvflow.curvature import DiagonalMetric, compile_flow, ricci_tensor
 from solvflow.flow import FlowProblem, Trajectory, integrate
 from solvflow.invariants import (
     detect_monomials,
@@ -11,6 +11,7 @@ from solvflow.invariants import (
     drift_report,
     hermite_basis,
     in_lattice,
+    integer_kernel,
     ratio_diagnostics,
 )
 from solvflow.liecore import StructureConstants
@@ -65,6 +66,33 @@ class TestLattice:
         a = hermite_basis(rows)
         b = hermite_basis(rows[::-1])
         assert a == b
+
+
+class TestIntegerKernel:
+    def test_no_rows_give_all_of_z5(self):
+        # the abelian table has no monomials, so every monomial is conserved
+        rates = compile_flow(StructureConstants.zero(5)).rates
+        assert rates.shape == (0, 5)
+        assert integer_kernel(rates) == [tuple(row) for row in np.eye(5, dtype=int)]
+
+    def test_d3_balance(self):
+        # D3's dominant balance (exps rates^T) y = -1 has the one solution
+        # y = (3, 3, 2, 2)/11 in table order: C/(DE), B/(CE), A/(BE), A/(CD)
+        terms = compile_flow(catalog.build_model(ModelId.D3,
+                                                 catalog.constrained_params(ModelId.D3)))
+        assert terms.exps.tolist() == [[0, 0, 1, -1, -1], [0, 1, -1, 0, -1],
+                                       [1, -1, 0, 0, -1], [1, 0, -1, -1, 0]]
+        balance = np.column_stack([terms.exps @ terms.rates.T, np.ones(4)])
+        assert integer_kernel(balance) == [(3, 3, 2, 2, 11)]
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_rank_deficient_rates_give_the_detected_lattice(self, model):
+        sc = catalog.build_model(model, catalog.constrained_params(model))
+        rates = compile_flow(sc).rates
+        kernel = integer_kernel(rates)
+        assert 0 < len(kernel) == 5 - np.linalg.matrix_rank(rates)
+        assert not np.any(rates @ np.array(kernel).T)
+        assert kernel == [mono.e for mono in detect_monomials_brackets(sc)]
 
 
 class TestDetection:
