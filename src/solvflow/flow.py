@@ -75,24 +75,30 @@ samples end where it left, and the other rows go on, to the last end
 among them, so every row ends where its own run would, in one solve.
 Each distinct table, a catalog model with its parameters or an explicit
 ``brackets`` object, is compiled once, and its rows form one block per set
-of pairs they take reflected or tied.  The right-hand side of all blocks
-is one product with their own terms: one matrix maps each row's
-coordinates, and r for each pair it takes reflected, to the exponents of
-every block's terms, ``np.exp`` with a mask takes each live row's own
-terms and leaves the others at 0, a reflected row scales copies of them
-by its pair's factor, and one product with the stacked rates gives every
-derivative.  Each block fills its own columns of the exponents and rows of
-the rates from its table: a plain block copies them, and a reflected one
-applies u_i, u_j = s ± r/2 to the exponents, s' = (u_i' + u_j')/2 to the
-rates, and gives w' the rates of its copies.  No other table's term is
+of pairs they take reflected or tied.  The right-hand side of every
+solve, a single run's too, is one product with the blocks' own terms: one
+matrix E maps the rows' coordinates y, as the solver gives them, to the
+exponents z = y E of every block's terms, each reflected block adds
+r (d/2) to its own columns of z, d the differences of its terms' exponents
+in i and j, ``np.exp`` with a mask takes each live row's own terms and
+leaves the others at 0, a reflected row scales copies of them by its
+pair's factor, and one product with the stacked rates gives every
+derivative.  Each block fills its own columns of E and rows of the rates
+from its table: a plain block copies them, and a reflected one applies
+u_i, u_j = s ± r/2 to the exponents, s' = (u_i' + u_j')/2 to the rates,
+and gives w' the rates of its copies.  E has the layout of a table's
+``exps.T``, so the product of one plain block makes the BLAS calls of its
+table's ``log_rhs`` and gives its derivatives bitwise; with E in C order
+they differ in the last bit for most tables.  No other table's term is
 exponentiated and no -inf reaches ``exp``: numpy 2.4.6 takes a slow path
 on -inf (a 90 x 16 ``exp`` takes 10.7 us when three quarters of it is
 -inf, 3.0 us when all of it is finite), so one product over the union of
 the tables, with -inf logs for the other tables' terms, costs more than
-its work.  A row that leaves clears its row of the mask.  At the check's
-seed-0 initial state the right-hand side of its 112 rows fell from 27.5 to
-15.5 us per call (2 cores, one BLAS thread).  A batch of one plain block
-with every row live takes its table's ``log_rhs``, as a single run does.
+its work.  A row that leaves clears its row of the mask, and a mask that
+masks nothing, one block's with every row live, is passed as True, which
+takes ``exp``'s fast path.  At the check's seed-0 initial state the
+right-hand side of its 112 rows fell from 27.5 to 15.5 us per call (2
+cores, one BLAS thread).
 The step control holds each row to its own tolerance:
 ``RowwiseDOP853`` takes DOP853's error norm of every row on its own and
 accepts a step when the largest is below 1, so a row's steps are at least
@@ -131,7 +137,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import accumulate, combinations
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -325,7 +330,7 @@ class Trajectory:
                 raise ValueError(f"{path}: empty CSV file")
             # later columns, such as the two diagnostic ones of older files, are ignored
             if tuple(header[:width]) != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {tuple(header)}")
+                raise ValueError(f"{path}: unexpected CSV header {tuple(header)}")
             rows = []
             for row in filter(None, r):  # blank lines are skipped
                 if len(row) < width:
@@ -339,11 +344,7 @@ class Trajectory:
         if not rows:
             raise ValueError(f"{path}: no samples after the CSV header")
         data = np.array(rows)
-        return cls(
-            times=data[:, 0],
-            coeffs=data[:, 1:],
-            termination="unknown",
-        )
+        return cls(times=data[:, 0], coeffs=data[:, 1:], termination="unknown")
 
     def to_json_dict(self) -> dict:
         return {
@@ -385,6 +386,8 @@ class Trajectory:
             if col.shape != t.shape:
                 raise ValueError(f"{path}: 'samples' {name!r} has shape {col.shape}, "
                                  f"'t' has {t.shape}")
+        if doc.get("model") and doc["model"] not in list(ModelId):
+            raise ValueError(f"{path}: 'model' {doc['model']!r} is not one of {', '.join(ModelId)}")
         return cls(
             times=t,
             coeffs=np.column_stack(columns),
@@ -587,7 +590,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     # plain blocks first, as the log line lists them
     blocks = sorted(blocks, key=lambda block: bool(block.pairs))
     stacked = [k for block in blocks for k in block.rows]
-    y0 = np.concatenate([b.coords(u0[b.rows]) if b.pairs else u0[b.rows] for b in blocks])
+    y0 = np.concatenate([b.coords(u0[b.rows]) for b in blocks])
     row_grids = [(p.t_end, p.samples_per_decade) for p in problems]
     grids = {g: _sample_times(*g) for g in dict.fromkeys(row_grids)}
     times = np.unique(np.concatenate(list(grids.values())))
@@ -598,10 +601,10 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     module = sys.modules[__name__]
     solve_ivp, method = module.solve_ivp, module.RowwiseDOP853
     counts: dict = {}
-    rhs = partial(_stacked_rhs, blocks, _Product(blocks, u0))
+    product = _Product(blocks, u0)
     start = perf_counter()
     sol = solve_ivp(
-        rhs(np.ones(m, dtype=bool)),
+        product.keep(np.ones(m, dtype=bool)),
         (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
@@ -611,7 +614,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         rows=m,
         counts=counts,
         row_ends=np.log1p([problems[k].t_end for k in stacked]),
-        live_rhs=rhs,
+        live_rhs=product.keep,
     )
     wall_s = perf_counter() - start
     # where in tau each failed row left, by problem
@@ -639,7 +642,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     own = {k: {"steps_set": counts["steps_set"][at],
                "retired_at_step": counts["retired_at_step"][at]} for at, k in enumerate(stacked)}
     for block, y in zip(blocks, ys):
-        u = block.log_g(y, block.sign(u0[block.rows])[:, None, :]) if block.pairs else y
+        u = block.log_g(y, block.sign(u0[block.rows])[:, None, :])
         for i, j in block.ties:
             u[..., j] = u[..., i]
         block_meta = dict(meta, solver=", ".join([meta["solver"], *block.reflections]))
@@ -676,21 +679,6 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     return trajs
 
 
-def _stacked_rhs(blocks: list[_Block], product: "_Product", live: np.ndarray):
-    """dy/dtau, tau = log(1 + t), of the stacked rows of ``blocks`` that the
-    boolean ``live`` marks, with 0 for the others: (1 + t) dy/dt, from
-    ``product`` with its mask set to the live rows.  A batch of one plain
-    block with every row live takes its table's own ``log_rhs``, as a single
-    run does: BLAS sums a product of one row in another order than one of
-    several, so a contiguous copy of the exponents is not bitwise
-    ``u @ exps.T`` there."""
-    if len(blocks) == 1 and not blocks[0].pairs and live.all():
-        return lambda tau, y: math.exp(tau) * blocks[0].terms.log_rhs(
-            y.reshape(len(live), -1)).ravel()
-    product.keep(live)
-    return product
-
-
 # r = sign exp(w) is taken at w floored here.  Below it r moves neither
 # exp(z) nor expm1(x)/x = 1 from their values at r = 0, and x = -d r is
 # never 0 where d is not; where d is 0, x = _TINY_X r (see _Product)
@@ -702,53 +690,52 @@ class _Product:
     """du/dt of the stacked rows of several blocks as one product, each row
     exponentiating only its own terms, once.
 
-    The input x = [y, r] holds each row's y and then, in one column per
-    coordinate j from the smallest that any block reflects into, r = sign
-    exp(w) of the row's pair at j, or 0.  One exponent matrix maps x to
-    every block's terms: a plain block's are its table's exponents, and a
-    reflected block's follow from u_i, u_j = s ± r/2.  ``np.exp(z,
-    where=own)`` fills each row's own terms and leaves the others at 0, so
-    no term of another table and no -inf reaches ``exp``.  Each reflected
-    block's paired copies, after all blocks' terms, are its terms scaled by
-    expm1(x)/x, x = r x_per_r, and one product with the stacked rates gives
-    du/dt: a plain block's are its table's, and a reflected block's give
-    s' = (u_i' + u_j')/2 and, from the copies, w'.  A row leaves by its
-    mask: ``keep`` clears its rows of ``own`` and of ``ez``, which then stay
-    0."""
+    One exponent matrix ``z_of_y``, in the layout of ``exps.T`` (see the
+    module docstring), maps each row's y to the exponents z of every
+    block's terms: a plain block's are its table's exponents, and a
+    reflected block's follow from u_i, u_j = s ± r/2 but for r, which the
+    block adds to its own columns of z as r (d/2), d the differences of its
+    terms' exponents in i and j.  ``np.exp(z, where=own)`` fills each row's
+    own terms and leaves the others at 0, so no term of another table and
+    no -inf reaches ``exp``.  Each reflected block's paired copies, after
+    all blocks' terms, are its terms scaled by expm1(x)/x, x = r x_per_r,
+    and one product with the stacked rates gives du/dt: a plain block's are
+    its table's, and a reflected block's give s' = (u_i' + u_j')/2 and, from
+    the copies, w'.  A row leaves by its mask: ``keep`` clears its rows of
+    ``own`` and of ``ez``, which then stay 0."""
 
     def __init__(self, blocks: list[_Block], u0: np.ndarray):
         """``u0`` is log g at the start, one row per problem: it gives each
         reflected row the sign of its r."""
         n = u0.shape[1]
-        first = min((j for b in blocks for _, j in b.pairs), default=n)
         rows = list(accumulate((len(b.rows) for b in blocks), initial=0))
         # each block's terms, then each block's copies
         sizes = [len(b.terms.exps) for b in blocks]
         terms = list(accumulate(sizes, initial=0))
         copies = list(accumulate((len(b.pairs) * k for b, k in zip(blocks, sizes)),
                                  initial=terms[-1]))
-        self.z_of_x = np.zeros((2 * n - first, terms[-1]))
+        self.z_of_y = np.zeros((n, terms[-1]), order="F")
         self.rates = np.zeros((copies[-1], n))
         self.own = self.own_cols = np.asfortranarray(np.eye(len(blocks), dtype=bool).repeat(
             np.diff(rows), axis=0).repeat(sizes, axis=1))
         # z and ez by column: each term's live rows are one run for the mask
-        self.x, self.z, self.ez = (np.zeros((rows[-1], k), order=order) for k, order in (
-            (len(self.z_of_x), "C"), (copies[0], "F"), (copies[-1], "F")))
-        self.y_in_x, self.terms = self.x[:, :n], self.ez[:, :copies[0]]
-        # of each reflected block: its w in y and r in x (pair by pair),
-        # their signs, x_per_r, x (then the factor), and its terms and copies
+        self.z, self.ez = (np.zeros((rows[-1], k), order="F") for k in (copies[0], copies[-1]))
+        self.terms = self.ez[:, :copies[0]]
+        # of each reflected block: its w in y (pair by pair), r and its
+        # signs, d/2 and r (d/2) in its rows and in all, its columns of z,
+        # x_per_r, x (then the factor), and its terms and copies
         self.reflected = []
         for b, k, lo, hi, t0, t1, c0, c1 in zip(blocks, sizes, rows, rows[1:], terms, terms[1:],
                                                 copies, copies[1:]):
             exps, rates = b.terms.exps, b.terms.rates
-            z, dy = self.z_of_x[:, t0:t1], self.rates[t0:t1]
-            z[:n], dy[:] = exps.T, rates
+            z, dy = self.z_of_y[:, t0:t1], self.rates[t0:t1]
+            z[:], dy[:] = exps.T, rates
             if not b.pairs:
                 continue
             i, j = b.ij
             # s takes the exponents of u_i and u_j, r half their difference d
             d = exps[:, i] - exps[:, j]
-            z[i], z[j], z[n - first + j] = z[i] + z[j], 0.0, d.T / 2
+            z[i], z[j] = z[i] + z[j], 0.0
             dy[:, i], dy[:, j] = (rates[:, i] + rates[:, j]) / 2, 0.0
             # w' = (u_i' - u_j')/r.  Paired with its image under the swap,
             # monomial k adds coef[k] exp(z_k) (1 - exp(-d[k] r)) / (d[k] r)
@@ -762,31 +749,39 @@ class _Product:
             x_per_r = np.where(d == 0.0, _TINY_X, -d).T
             # at most two disjoint pairs in five coordinates: one slice
             w = slice(j[0], j[-1] + (1 if j[-1] >= j[0] else -1), (j[-1] - j[0]) or 1)
-            r = self.x[lo:hi, n - first:][:, w]
-            shape = (hi - lo, *x_per_r.shape)
+            # r (d/2) goes to the block's rows of its own columns, and is 0
+            # in their other rows, which are no row's own terms: adding it
+            # to whole columns of z is one contiguous add
+            r, rz = np.empty((hi - lo, len(j))), np.zeros((rows[-1], k), order="F")
+            factor = np.empty((hi - lo, *x_per_r.shape))
             self.reflected.append(((slice(lo, hi), w), r, r[:, :, None], b.sign(u0[b.rows]),
-                                   x_per_r, np.empty(shape), self.ez[lo:hi, None, t0:t1],
-                                   self.ez[lo:hi, c0:c1].reshape(shape)))
+                                   d.T / 2, rz[lo:hi], rz, self.z[:, t0:t1], x_per_r, factor,
+                                   self.ez[lo:hi, None, t0:t1],
+                                   self.ez[lo:hi, c0:c1].reshape(factor.shape)))
 
-    def keep(self, live: np.ndarray) -> None:
-        """Evaluate only the rows that the boolean ``live`` marks."""
-        self.own = np.logical_and(self.own_cols, live[:, None], order="F")
+    def keep(self, live: np.ndarray) -> "_Product":
+        """This product, evaluating only the rows that the boolean ``live``
+        marks.  A mask that masks nothing is passed to ``exp`` as True,
+        which takes its fast path."""
+        own = np.logical_and(self.own_cols, live[:, None], order="F")
+        self.own = True if own.all() else own
         self.ez[~live] = 0.0
+        return self
 
     def du(self, y: np.ndarray) -> np.ndarray:
         """du/dt, or dy/dt for reflected rows, at y of shape (rows, n)."""
-        np.copyto(self.y_in_x, y)
-        for w, r, r_by_pair, sign, x_per_r, factor, _, _ in self.reflected:
-            np.exp(np.maximum(y[w], _W_FLOOR, out=r), out=r)
-            r *= sign
+        np.matmul(y, self.z_of_y, out=self.z)
+        for w, r, r_by_pair, sign, r_z, rz_rows, rz, z, x_per_r, factor, _, _ in self.reflected:
+            np.multiply(np.exp(np.maximum(y[w], _W_FLOOR, out=r), out=r), sign, out=r)
+            np.matmul(r, r_z, out=rz_rows)
+            np.add(z, rz, out=z)
             x = np.multiply(r_by_pair, x_per_r, out=factor)
             np.divide(np.expm1(x), x, out=factor)
-        np.matmul(self.x, self.z_of_x, out=self.z)
         np.exp(self.z, out=self.terms, where=self.own)
         for *_, factor, terms, copies in self.reflected:
             np.multiply(terms, factor, out=copies)
         return np.dot(self.ez, self.rates)
 
     def __call__(self, tau: float, y: np.ndarray) -> np.ndarray:
-        dy = self.du(y.reshape(len(self.x), -1))
+        dy = self.du(y.reshape(len(self.z), -1))
         return np.multiply(dy, math.exp(tau), out=dy).ravel()

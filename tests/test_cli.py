@@ -232,6 +232,9 @@ def test_fit_csv_without_samples_usage_error(tmp_path, capsys, content, message)
     ({"samples": {"A": [1], "B": [1], "C": [1], "D": [1], "E": [1]}}, "has no 't'"),
     ([1, 2, 3], "'samples'"),
     ({"samples": [1, 2, 3]}, "'samples'"),
+    ({"model": "D7", "samples": {name: [0.0, 1.0] if name == "t" else [1, 1]
+                                 for name in CSV_HEADER}},
+     "bad.json: 'model' 'D7' is not one of D1, D2, D3, D5, D11"),
 ])
 def test_fit_malformed_json_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

@@ -545,18 +545,19 @@ class TestIntegrateMany:
             (ModelId.D3, (0.6, 1.4, 0.9, 2.0, 1.2), 1e3),
             (ModelId.D11, (1.0, 1.0, 1.0, 2.0, 1.0), 1e6))]
         calls = []  # per call of the right-hand side: [live rows, rows evaluated]
-        real_stacked = flow._stacked_rhs
 
-        def stacked_rhs(blocks, product, live):
-            rhs = real_stacked(blocks, product, live)
+        class Counted(flow._Product):
+            def keep(self, live):
+                self.live = live.copy()
+                return super().keep(live)
 
-            def counted(tau, y):
+            def __call__(self, tau, y):
                 # the rows of which the product exponentiates any term
-                calls.append([int(live.sum()), int(product.own.any(axis=1).sum())])
-                return rhs(tau, y)
-            return counted
+                own = np.broadcast_to(self.own, self.z.shape)
+                calls.append([int(self.live.sum()), int(own.any(axis=1).sum())])
+                return super().__call__(tau, y)
 
-        monkeypatch.setattr(flow, "_stacked_rhs", stacked_rhs)
+        monkeypatch.setattr(flow, "_Product", Counted)
         # the solver's counts (rows in stacked order), and the live rows and
         # a copy of steps_set at each rebuild
         solver, rebuilt = {}, []
@@ -655,7 +656,8 @@ class TestIntegrateMany:
         u[1, 2] = u[1, 1]
         stacked = flow._Product(blocks, u).du(u)
         # each table's log_rhs over all four rows: BLAS sums a product of one
-        # row in another order than one of several
+        # row in another order than one of several, and a product of one
+        # table is its log_rhs (test_one_block_is_its_tables_log_rhs)
         for k, block in enumerate(blocks):
             assert np.array_equal(stacked[k], block.terms.log_rhs(u)[k])
 
@@ -957,13 +959,14 @@ def built_product(monkeypatch, problems):
     coordinates as linear maps, and their product, as a stacked solve builds
     them."""
     seen = {}
+    real_product = flow._Product
 
-    def stop(blocks, product, live):
-        seen.update(blocks=blocks, product=product)
+    def stop(blocks, u0):
+        seen.update(blocks=blocks, product=real_product(blocks, u0))
         raise _Built
 
     with monkeypatch.context() as patch:
-        patch.setattr(flow, "_stacked_rhs", stop)
+        patch.setattr(flow, "_Product", stop)
         with pytest.raises(_Built):
             integrate_many(problems)
     u0 = np.log([p.initial.array for p in problems])
@@ -1005,8 +1008,8 @@ class TestStackedProduct:
         # one product for all rows gives each row bitwise what its own
         # table's log_rhs, or the reflected formula, gives it.  Each formula
         # takes several rows at once: BLAS sums a product of one row in
-        # another order, so a single run keeps log_rhs itself.  The plain
-        # formulas take the rows of all plain blocks
+        # another order.  The plain formulas take the rows of all plain
+        # blocks
         blocks, product = built_product(monkeypatch, MIXED)
         assert [(block.model, bool(block.pairs), bool(block.ties)) for block, _ in blocks] == [
             (ModelId.D1, False, False), (ModelId.D2, False, False), (ModelId.D11, False, True),
@@ -1024,6 +1027,29 @@ class TestStackedProduct:
                             block.terms.log_rhs(y[:plain])[at - len(rows):at])
             assert np.array_equal(product.du(y), np.concatenate(want))
 
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_one_block_is_its_tables_log_rhs(self, model):
+        # the exponent matrix has the layout of exps.T, so the product of one
+        # plain block makes log_rhs's own BLAS calls: bitwise its log_rhs for
+        # one row and for several, and after a row retires, whose derivative
+        # is then 0.  In C order it differs in the last bit for most tables.
+        # With every row live nothing is masked, and exp takes where=True
+        terms = terms_of(model)
+        rng = np.random.default_rng(29)
+        for m in (1, 4):
+            every = np.ones(m, dtype=bool)
+            block = flow._Block(model, None, terms, (), list(range(m)))
+            product = flow._Product([block], np.zeros((m, 5)))
+            assert product.keep(every).own is True
+            for _ in range(300):
+                u = np.log(rng.uniform(0.1, 10.0, (m, 5)))
+                assert np.array_equal(product.keep(every).du(u), terms.log_rhs(u))
+                if m > 1:
+                    live = np.arange(m) != rng.integers(m)
+                    du = product.keep(live).du(u)
+                    assert np.all(du[~live] == 0.0)
+                    assert np.array_equal(du[live], terms.log_rhs(u)[live])
+
     def test_retired_rows_are_zero_and_the_live_rows_unchanged(self, monkeypatch):
         # each retirement only masks rows: the retired rows' derivatives are
         # 0, though their entries were filled before, and the live rows'
@@ -1034,11 +1060,11 @@ class TestStackedProduct:
         for _ in range(5):
             y = random_states(rng, blocks).ravel()
             live = np.ones(m, dtype=bool)
-            full = flow._stacked_rhs([b for b, _ in blocks], product, live.copy())(0.3, y)
+            full = product.keep(live.copy())(0.3, y)
             full = full.reshape(m, -1)
             for k in rng.permutation(m)[:-1]:
                 live[k] = False
-                dy = flow._stacked_rhs([b for b, _ in blocks], product, live.copy())(0.3, y)
+                dy = product.keep(live.copy())(0.3, y)
                 dy = dy.reshape(m, -1)
                 assert np.all(dy[~live] == 0.0)
                 assert np.array_equal(dy[live], full[live])
@@ -1060,7 +1086,7 @@ class TestStackedProduct:
         m = len(MIXED)
         for live in (np.ones(m, dtype=bool), rng.permutation(m) % 3 != 0):
             y = random_states(rng, blocks, underflow=False)
-            rhs = flow._stacked_rhs([b for b, _ in blocks], product, live)
+            rhs = product.keep(live)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np, "exp", spy)
@@ -1189,7 +1215,8 @@ class TestSerialization:
     def test_csv_rejects_other_headers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected CSV header "
+                                             r"\('a', 'b'\)$"):
             Trajectory.read_csv(path)
 
 
