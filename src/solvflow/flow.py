@@ -16,13 +16,19 @@ tracer or a test that replaces ``solve_ivp`` sees every solve.  Samples are
 recorded on a linear grid on [0, 1] and a geometric grid afterwards, which
 is what the power-law fits consume.
 
-The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt.
-Its solutions approach power laws g ~ c t^k, which are nearly straight
-lines in log g against tau, so DOP853 crosses each decade past t = 100 in
-about 5 steps, where in t it took about 23 (runs of D1, D2 and D3 to
-t = 1e6 at rel_tol 1e-12).  The sample grid is mapped to tau by ``log1p``,
-and each trajectory reports the grid's own times.  Criterion 4's 100-row
-solve to t = 1e4 takes 1,136 evaluations instead of 1,970.
+The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt =
+e^tau f(y), f = dy/dt.  The solver takes it in that separable form: the
+time factor ``np.exp``, which it takes once per attempted step at all the
+step's nodes and folds into the stage weights, and f, which writes each
+stage's derivative into its row of the solver's stage array
+(``_Product.du`` with ``out``), so a stage's derivative is neither
+allocated, copied nor scaled.  Its solutions approach power laws
+g ~ c t^k, which are nearly straight lines in log g against tau, so DOP853
+crosses each decade past t = 100 in about 5 steps, where in t it took
+about 23 (runs of D1, D2 and D3 to t = 1e6 at rel_tol 1e-12).  The sample
+grid is mapped to tau by ``log1p``, and each trajectory reports the grid's
+own times.  Criterion 4's 100-row solve to t = 1e4 takes 1,136 evaluations
+instead of 1,970.
 
 Some coordinates are reflected first.  Let a transposition (i j) of the
 coordinates map the term table onto itself, and put r = u_i - u_j.  Pair
@@ -344,7 +350,16 @@ class Trajectory:
         if not rows:
             raise ValueError(f"{path}: no samples after the CSV header")
         data = np.array(rows)
-        return cls(times=data[:, 0], coeffs=data[:, 1:], termination="unknown")
+        return cls._read(path, times=data[:, 0], coeffs=data[:, 1:], termination="unknown")
+
+    @classmethod
+    def _read(cls, path, **fields) -> "Trajectory":
+        """The trajectory of ``fields`` read from ``path``, whose name
+        prefixes the refusal of samples that are no trajectory."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,7 +382,10 @@ class Trajectory:
     @classmethod
     def read_json(cls, path) -> "Trajectory":
         with open(path) as fh:
-            doc = _json.load(fh)
+            try:
+                doc = _json.load(fh)
+            except _json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         s = doc.get("samples") if isinstance(doc, dict) else None
         if not isinstance(s, dict):
             raise ValueError(f"{path}: expected a JSON object with a 'samples' object")
@@ -388,7 +406,8 @@ class Trajectory:
                                  f"'t' has {t.shape}")
         if doc.get("model") and doc["model"] not in list(ModelId):
             raise ValueError(f"{path}: 'model' {doc['model']!r} is not one of {', '.join(ModelId)}")
-        return cls(
+        return cls._read(
+            path,
             times=t,
             coeffs=np.column_stack(columns),
             termination=doc.get("termination", "unknown"),
@@ -604,7 +623,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
     product = _Product(blocks, u0)
     start = perf_counter()
     sol = solve_ivp(
-        product.keep(np.ones(m, dtype=bool)),
+        product.keep(np.ones(m, dtype=bool)).du,
         (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
@@ -614,7 +633,8 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         rows=m,
         counts=counts,
         row_ends=np.log1p([problems[k].t_end for k in stacked]),
-        live_rhs=product.keep,
+        g=np.exp,
+        live_fun=lambda live: product.keep(live).du,
     )
     wall_s = perf_counter() - start
     # where in tau each failed row left, by problem
@@ -768,8 +788,9 @@ class _Product:
         self.ez[~live] = 0.0
         return self
 
-    def du(self, y: np.ndarray) -> np.ndarray:
-        """du/dt, or dy/dt for reflected rows, at y of shape (rows, n)."""
+    def du(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """du/dt, or dy/dt for reflected rows, at y of shape (rows, n);
+        written into ``out``, C contiguous of that shape, if given."""
         np.matmul(y, self.z_of_y, out=self.z)
         for w, r, r_by_pair, sign, r_z, rz_rows, rz, z, x_per_r, factor, _, _ in self.reflected:
             np.multiply(np.exp(np.maximum(y[w], _W_FLOOR, out=r), out=r), sign, out=r)
@@ -780,8 +801,4 @@ class _Product:
         np.exp(self.z, out=self.terms, where=self.own)
         for *_, factor, terms, copies in self.reflected:
             np.multiply(terms, factor, out=copies)
-        return np.dot(self.ez, self.rates)
-
-    def __call__(self, tau: float, y: np.ndarray) -> np.ndarray:
-        dy = self.du(y.reshape(len(self.z), -1))
-        return np.multiply(dy, math.exp(tau), out=dy).ravel()
+        return np.dot(self.ez, self.rates, out=out)

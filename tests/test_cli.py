@@ -169,6 +169,28 @@ def test_fit_sample_not_a_number_usage_error(tmp_path, capsys, suffix):
     assert "'x'" in err
 
 
+@pytest.mark.parametrize("suffix, message", [
+    (".csv", "sample times must be strictly increasing"),
+    (".json", "Expecting value: line 1 column"),
+    (".json", "metric coefficients must be finite and strictly positive: row 1 is"),
+], ids=["repeated-time", "truncated-json", "negative-coefficient"])
+def test_fit_refusal_names_the_file(tmp_path, capsys, suffix, message):
+    traj = Trajectory(times=np.arange(4.0), coeffs=np.ones((4, 5)), termination="reached_t_end")
+    path = tmp_path / f"refused{suffix}"
+    if suffix == ".csv":
+        traj.write_csv(path)
+        path.write_text(path.read_text() + "3.0,1,1,1,1,1\n")
+    elif "Expecting" in message:
+        path.write_text(json.dumps(traj.to_json_dict())[:12])
+    else:
+        doc = traj.to_json_dict()
+        doc["samples"]["A"][1] = -1.0
+        path.write_text(json.dumps(doc))
+    assert main(["fit", "--in", str(path), "--component", "A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_flow_infinite_t_end_usage_error(tmp_path, capsys):
     assert main(["flow", "D5", "--lambda", "1,1,1,1,1", "--t-end", "inf",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,23 +1,29 @@
 """The stacked DOP853 integrator on its own, on a toy ODE with a known
 blow-up: each row of y' = y^2 from y0 > 0 is y0 / (1 - y0 t), which blows up
-at t = 1/y0, and a row from y0 < 0 decays for all t."""
+at t = 1/y0, and a row from y0 < 0 decays for all t.  It is autonomous, so
+its time factor g is 1."""
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from solvflow.dop853 import RowwiseDOP853, solve_ivp
 
 
 def square(live):
-    """y' = y^2 on the rows that ``live`` marks (width 1), 0 on the others."""
-    return lambda t, y: np.where(live, y * y, 0.0)
+    """f(y) = y^2 on the rows that ``live`` marks (width 1), 0 on the others,
+    written into ``out``."""
+    def f(y, out):
+        np.multiply(y, y, out=out)
+        out[~live] = 0.0
+    return f
 
 
 def solve(y0, t_end, **kwargs):
     counts = {}
     live = np.ones(len(y0), dtype=bool)
     sol = solve_ivp(square(live), (0.0, t_end), np.asarray(y0, dtype=float),
-                    method=RowwiseDOP853, rows=len(y0), counts=counts, live_rhs=square,
-                    rtol=1e-10, atol=1e-12, **kwargs)
+                    method=RowwiseDOP853, rows=len(y0), counts=counts, g=np.ones_like,
+                    live_fun=square, rtol=1e-10, atol=1e-12, **kwargs)
     return sol, counts
 
 
@@ -50,16 +56,60 @@ def test_the_step_fails_when_no_row_is_left():
     assert counts["retired_at_step"][1] < counts["retired_at_step"][0] == counts["steps"]
 
 
-
 def test_the_solve_ends_with_its_last_live_row():
     # the row to 3 blows up at 1; the row to 2, from 0.25, would blow up at
     # 4, past its own end, and the solve ends with it at t = 2
     counts = {}
     live = np.ones(2, dtype=bool)
     sol = solve_ivp(square(live), (0.0, 3.0), np.array([1.0, 0.25]), method=RowwiseDOP853,
-                    rows=2, counts=counts, row_ends=[3.0, 2.0], live_rhs=square,
-                    rtol=1e-10, atol=1e-12)
+                    rows=2, counts=counts, row_ends=[3.0, 2.0], g=np.ones_like,
+                    live_fun=square, rtol=1e-10, atol=1e-12)
     assert sol.status == 0 and sol.t[-1] == 2.0
     assert counts["failed_at"][0] == pytest.approx(1.0, rel=1e-9, abs=0.0)
     assert counts["failed_at"][1] is None and counts["retired_at_step"][1] is None
     assert sol.y[1, -1] == pytest.approx(0.25 / (1.0 - 0.25 * 2.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_separable_step_is_scipys_step_on_the_product(rows):
+    # y' = e^t y^2, a row of width 3: 1/y = 1/y0 - (e^t - 1), finite to t = 1
+    # from these y0.  Stacked identical rows each have the row's own norm, so
+    # the step is scipy's DOP853 on one row of the product form e^t y^2
+    y0 = np.array([0.4, -0.5, 0.2])
+    times = np.linspace(0.0, 1.0, 11)
+    scipy_sol = solve_ivp(lambda t, y: np.exp(t) * y * y, (0.0, 1.0), y0, method=DOP853,
+                          t_eval=times, rtol=1e-10, atol=1e-12)
+    counts = {}
+    sol = solve_ivp(lambda y, out: np.multiply(y, y, out=out), (0.0, 1.0), np.tile(y0, rows),
+                    method=RowwiseDOP853, t_eval=times, rows=rows, counts=counts, g=np.exp,
+                    rtol=1e-10, atol=1e-12)
+    scipy_steps = len(solve_ivp(lambda t, y: np.exp(t) * y * y, (0.0, 1.0), y0,
+                                method=DOP853, rtol=1e-10, atol=1e-12).t) - 1
+    assert sol.status == scipy_sol.status == 0
+    assert (sol.nfev, counts["steps"]) == (scipy_sol.nfev, scipy_steps)
+    assert np.max(np.abs(sol.y.reshape(rows, 3, -1) / scipy_sol.y - 1.0)) <= 1e-12
+    exact = 1.0 / (1.0 / y0[:, None] - np.expm1(times))
+    assert np.max(np.abs(scipy_sol.y / exact - 1.0)) <= 1e-8
+
+
+def test_a_retired_row_stays_put_bitwise():
+    # the row to 0.5 leaves at the first step that starts past it and from
+    # there keeps its y to the last bit, in each step's y and in every dense
+    # sample, while the other rows go on to 2
+    def run(t_eval):
+        counts = {}
+        sol = solve_ivp(square(np.ones(3, dtype=bool)), (0.0, 2.0), np.array([0.9, 0.3, -1.0]),
+                        method=RowwiseDOP853, t_eval=t_eval, rows=3, counts=counts,
+                        row_ends=[0.5, 2.0, 2.0], g=np.ones_like, live_fun=square,
+                        rtol=1e-10, atol=1e-12)
+        assert sol.status == 0 and counts["retired_at_step"][1:] == [None, None]
+        return sol, counts["retired_at_step"][0]
+
+    steps, exit = run(None)  # y after each accepted step
+    t_exit = steps.t[exit]
+    assert t_exit >= 0.5 > steps.t[exit - 1]
+    dense, _ = run(np.linspace(0.0, 2.0, 41))
+    for sol in (steps, dense):
+        left = sol.y[0, sol.t >= t_exit]
+        assert left.size > 5 and np.all(left == steps.y[0, exit])
+    assert np.all(np.diff(steps.y[1, exit:]) > 0.0)

@@ -62,14 +62,15 @@ def terms_of(model, **params):
 def tau_solve(terms, problem, times):
     """One run in plain coordinates as the solver sees it: a direct solve of
     (1 + t) ``terms.log_rhs`` in log(1 + t) with ``flow.RowwiseDOP853`` at a
-    tenth of the problem's tolerances.  Returns the solution and the step
-    counts."""
+    tenth of the problem's tolerances, in the separable form it takes:
+    g = exp, and f = ``terms.log_rhs`` written in place.  Returns the
+    solution and the step counts."""
     counts = {}
-    sol = flow.solve_ivp(lambda tau, u: math.exp(tau) * terms.log_rhs(u),
+    sol = flow.solve_ivp(lambda u, out: np.copyto(out, terms.log_rhs(u)),
                          (0.0, math.log1p(problem.t_end)), np.log(problem.initial.array),
                          method=flow.RowwiseDOP853, t_eval=np.log1p(times),
                          rtol=problem.rel_tol / 10, atol=problem.abs_tol / 10, rows=1,
-                         counts=counts)
+                         counts=counts, g=np.exp)
     return sol, counts
 
 
@@ -486,8 +487,9 @@ class TestIntegrateMany:
         # norm is scipy's DOP853 norm of that row alone
         rng = np.random.default_rng(7)
         for rows in (1, 3):
-            solver = flow.RowwiseDOP853(lambda t, y: -y, 0.0, np.ones(5 * rows), 1.0,
-                                        rows=rows, counts={})
+            solver = flow.RowwiseDOP853(lambda y, out: np.negative(y, out=out), 0.0,
+                                        np.ones(5 * rows), 1.0, rows=rows, counts={},
+                                        g=np.ones_like)
             for draw in range(20):
                 K = rng.normal(size=(DOP853.n_stages + 1, 5 * rows))
                 K[:, :5] *= draw % 2  # a row without error: no division warns
@@ -495,9 +497,10 @@ class TestIntegrateMany:
                 h = rng.uniform(1e-3, 1.0)
                 want = max(DOP853._estimate_error_norm(solver, K[:, k:k + 5], h, scale[k:k + 5])
                            for k in range(0, 5 * rows, 5))
-                assert solver._estimate_error_norm(K, h, scale) == pytest.approx(want, rel=1e-14)
+                got = solver._estimate_error_norm(solver.E53, K, h, scale)
+                assert got == pytest.approx(want, rel=1e-14)
             K[0, -1] = np.nan  # rejects the step, as scipy's norm does
-            assert math.isnan(solver._estimate_error_norm(K, h, scale))
+            assert math.isnan(solver._estimate_error_norm(solver.E53, K, h, scale))
 
     def test_step_counts_account_for_every_evaluation(self, criterion_4_batches):
         # DOP853 evaluates 12 stages per attempted step, 3 more per dense
@@ -512,9 +515,10 @@ class TestIntegrateMany:
     def test_dense_output_is_scipys_interpolant(self):
         # the interpolant y_old + F^T b(x) against scipy's nested form, on
         # random coefficients, and the coefficients of a step against those
-        # scipy's dense output computes from the same stages
-        solver = flow.RowwiseDOP853(lambda t, y: -y * np.cos(t), 0.0, np.ones(10), 1.0,
-                                    rows=2, counts={})
+        # scipy's dense output computes from the same stages, y' = cos(t) (-y)
+        # in the separable form
+        solver = flow.RowwiseDOP853(lambda y, out: np.negative(y, out=out), 0.0, np.ones(10),
+                                    1.0, rows=2, counts={}, g=np.cos)
         solver.step()
         ours = solver.dense_output()
         rng = np.random.default_rng(11)
@@ -531,6 +535,12 @@ class TestIntegrateMany:
                 assert got(tk).shape == (n,)
                 assert np.max(np.abs(got(tk) - want(tk))) <= 1e-14 * np.max(np.abs(want(tk)))
         t = np.linspace(solver.t_old, solver.t, 7)
+        # scipy's reads the stages K_j = g_j D_j, the last one also as f, and
+        # fills the dense output's three
+        at = solver.t_old + solver.nodes * solver.h_previous
+        at[solver.n_stages] = solver.t
+        solver.K_extended[:] = np.cos(at)[:, None] * solver.Ds
+        solver.f = solver.K[-1]
         want = DOP853._dense_output_impl(solver)(t)
         assert np.max(np.abs(ours(t) - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -551,11 +561,11 @@ class TestIntegrateMany:
                 self.live = live.copy()
                 return super().keep(live)
 
-            def __call__(self, tau, y):
+            def du(self, y, out=None):
                 # the rows of which the product exponentiates any term
                 own = np.broadcast_to(self.own, self.z.shape)
                 calls.append([int(self.live.sum()), int(own.any(axis=1).sum())])
-                return super().__call__(tau, y)
+                return super().du(y, out)
 
         monkeypatch.setattr(flow, "_Product", Counted)
         # the solver's counts (rows in stacked order), and the live rows and
@@ -563,13 +573,13 @@ class TestIntegrateMany:
         solver, rebuilt = {}, []
         real_solve_ivp = flow.solve_ivp
 
-        def solve_ivp(*args, counts, live_rhs, **kwargs):
+        def solve_ivp(*args, counts, live_fun, **kwargs):
             solver["counts"] = counts
 
             def rebuild(live):
                 rebuilt.append((live.copy(), list(counts["steps_set"])))
-                return live_rhs(live)
-            return real_solve_ivp(*args, counts=counts, live_rhs=rebuild, **kwargs)
+                return live_fun(live)
+            return real_solve_ivp(*args, counts=counts, live_fun=rebuild, **kwargs)
 
         monkeypatch.setattr(flow, "solve_ivp", solve_ivp)
         batch = integrate_many(problems)
@@ -1058,14 +1068,12 @@ class TestStackedProduct:
         rng = np.random.default_rng(19)
         m = len(MIXED)
         for _ in range(5):
-            y = random_states(rng, blocks).ravel()
+            y = random_states(rng, blocks)
             live = np.ones(m, dtype=bool)
-            full = product.keep(live.copy())(0.3, y)
-            full = full.reshape(m, -1)
+            full = product.keep(live.copy()).du(y)
             for k in rng.permutation(m)[:-1]:
                 live[k] = False
-                dy = product.keep(live.copy())(0.3, y)
-                dy = dy.reshape(m, -1)
+                dy = product.keep(live.copy()).du(y)
                 assert np.all(dy[~live] == 0.0)
                 assert np.array_equal(dy[live], full[live])
 
@@ -1090,7 +1098,7 @@ class TestStackedProduct:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np, "exp", spy)
-                rhs(0.0, y.ravel())
+                rhs.du(y)
             [(z, where)] = [(z, where) for z, where in calls if where is not None]
             assert np.array_equal(where.sum(axis=1), np.where(live, own, 0))
             at = 0
