@@ -10,11 +10,18 @@ The integrator is DOP853 for stacked rows, in :mod:`solvflow.dop853`,
 which loads scipy.  This module imports it at the first solve, not on
 import, so the commands and callers that never integrate skip that cost.
 The solver is always called through the module attribute
-``flow.solve_ivp``, with the step method ``flow.RowwiseDOP853``; the first
-access of each takes it from the integrator module and stores it, so a
-tracer or a test that replaces ``solve_ivp`` sees every solve.  Samples are
-recorded on a linear grid on [0, 1] and a geometric grid afterwards, which
-is what the power-law fits consume.
+``flow.solve_ivp``, which still drives every solve, with the step method
+``flow.RowwiseDOP853``; the first access of each takes it from the
+integrator module and stores it, so a tracer or a test that replaces
+``solve_ivp`` sees every solve.  Samples are taken on a linear grid on
+[0, 1] and a geometric grid afterwards, which is what the power-law fits
+consume.  They come from the step's record, not from ``solve_ivp``: the
+step method takes the sample times itself (``samples=``), records the
+steps that hold samples, and interpolates them together, with one call of
+the right-hand side per extra stage over a leading step axis
+(``_Product.du`` on y of shape (steps, rows, n)).  A single run to
+t = 1e6 interpolates its whole solve at once, and the 560-wide solve of
+``solvflow check`` each step as it is taken.
 
 The flow is solved in tau = log(1 + t), where dy/dtau = (1 + t) dy/dt =
 e^tau f(y), f = dy/dt.  The solver takes it in that separable form: the
@@ -144,6 +151,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations
+from operator import itemgetter
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -300,9 +308,9 @@ class Trajectory:
             raise ValueError("trajectory arrays have inconsistent shapes")
         if t.size == 0:
             raise ValueError("trajectory must contain at least one sample")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("sample times must be finite")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("sample times must be strictly increasing")
         _check_coeffs(g)
         for name, arr in (("times", t), ("coeffs", g)):
@@ -475,13 +483,15 @@ def _invariant_swaps(terms: FlowTerms) -> tuple[list[tuple[int, int]], list[tupl
     itself, as (conserving, moving).  A conserving swap has equal rate
     columns, so u_i - u_j is constant.  Under a moving one u_i - u_j
     evolves at a rate odd in u_i - u_j, so it never crosses 0."""
-    table = {tuple(e): tuple(r) for e, r in zip(terms.exps, terms.rates)}
+    exps, rates = terms.exps.tolist(), terms.rates.tolist()
+    table = dict(zip(map(tuple, exps), map(tuple, rates)))
     conserving, moving = [], []
     for i, j in combinations(range(terms.exps.shape[1]), 2):
-        perm = np.arange(terms.exps.shape[1])
-        perm[[i, j]] = j, i
-        if table == {tuple(e[perm]): tuple(r[perm]) for e, r in zip(terms.exps, terms.rates)}:
-            equal = np.array_equal(terms.rates[:, i], terms.rates[:, j])
+        perm = list(range(terms.exps.shape[1]))
+        perm[i], perm[j] = j, i
+        swap = itemgetter(*perm)
+        if table == dict(zip(map(swap, exps), map(swap, rates))):
+            equal = all(r[i] == r[j] for r in rates)
             (conserving if equal else moving).append((i, j))
     return conserving, moving
 
@@ -627,7 +637,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
         (0.0, math.log1p(horizons[-1])),
         y0.ravel(),
         method=method,
-        t_eval=taus,
+        samples=taus,
         rtol=np.repeat([problems[k].rel_tol / _TOL_DIVISOR for k in stacked], n),
         atol=np.repeat([problems[k].abs_tol / _TOL_DIVISOR for k in stacked], n),
         rows=m,
@@ -650,10 +660,10 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
              TERM_STEP_FAILURE if exits else TERM_REACHED, meta["solver"])
 
     # the samples are the grids' own times, not expm1 of the solver's; a
-    # solve whose first step fails returns no sample, not even t = 0
-    y = sol.y if len(sol.t) else y0.reshape(-1, 1)
-    sampled = times[:y.shape[1]]
-    y = y.reshape(m, n, -1).transpose(0, 2, 1)  # (row, sample, coordinate)
+    # solve whose first step fails reaches no sample, not even t = 0
+    y = counts["samples"] if len(counts["samples"]) else y0.reshape(1, -1)
+    sampled = times[:len(y)]
+    y = y.reshape(len(y), m, n).transpose(1, 0, 2)  # (row, sample, coordinate)
     ys = np.split(y, list(accumulate(len(block.rows) for block in blocks))[:-1])
     # each grid's samples among those the solver reached
     picks = {g: np.isin(sampled, grid) for g, grid in grids.items()}
@@ -676,6 +686,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
             ks, pick = [block.rows[at] for at in ats], picks[grid]
             if left is not None:  # a failed row's samples end where it left
                 pick = pick & (taus[:len(sampled)] <= left)
+            row_times = sampled[pick]
             coeffs = np.exp(u[ats][:, pick])
             coeffs[:, 0] = lam[ks]  # exp(log(lam)) can be an ulp off the initial data
             drifts = np.zeros(len(ks))
@@ -689,7 +700,7 @@ def _solve(problems: list[FlowProblem], blocks: list[_Block], lam: np.ndarray,
                 if left is not None:
                     row_meta["solver_message"] = method.TOO_SMALL_STEP
                 trajs[k] = Trajectory(
-                    times=sampled[pick],
+                    times=row_times,
                     coeffs=row,
                     termination=TERM_REACHED if left is None else TERM_STEP_FAILURE,
                     model=block.model,
@@ -722,7 +733,10 @@ class _Product:
     and one product with the stacked rates gives du/dt: a plain block's are
     its table's, and a reflected block's give s' = (u_i' + u_j')/2 and, from
     the copies, w'.  A row leaves by its mask: ``keep`` clears its rows of
-    ``own`` and of ``ez``, which then stay 0."""
+    ``own`` and of ``ez``, which then stay 0.  ``du`` also takes y with
+    leading axes, as the solver's dense output passes its recorded steps,
+    and gives each (rows, n) matrix bitwise what it gives that matrix
+    alone."""
 
     def __init__(self, blocks: list[_Block], u0: np.ndarray):
         """``u0`` is log g at the start, one row per problem: it gives each
@@ -738,12 +752,9 @@ class _Product:
         self.rates = np.zeros((copies[-1], n))
         self.own = self.own_cols = np.asfortranarray(np.eye(len(blocks), dtype=bool).repeat(
             np.diff(rows), axis=0).repeat(sizes, axis=1))
-        # z and ez by column: each term's live rows are one run for the mask
-        self.z, self.ez = (np.zeros((rows[-1], k), order="F") for k in (copies[0], copies[-1]))
-        self.terms = self.ez[:, :copies[0]]
-        # of each reflected block: its w in y (pair by pair), r and its
-        # signs, d/2 and r (d/2) in its rows and in all, its columns of z,
-        # x_per_r, x (then the factor), and its terms and copies
+        # of each reflected block: its rows and its w in y (pair by pair),
+        # the signs of its r, d/2, its columns of terms and of copies, and
+        # x_per_r
         self.reflected = []
         for b, k, lo, hi, t0, t1, c0, c1 in zip(blocks, sizes, rows, rows[1:], terms, terms[1:],
                                                 copies, copies[1:]):
@@ -769,15 +780,40 @@ class _Product:
             x_per_r = np.where(d == 0.0, _TINY_X, -d).T
             # at most two disjoint pairs in five coordinates: one slice
             w = slice(j[0], j[-1] + (1 if j[-1] >= j[0] else -1), (j[-1] - j[0]) or 1)
+            self.reflected.append((slice(lo, hi), w, b.sign(u0[b.rows]), d.T / 2,
+                                   slice(t0, t1), slice(c0, c1), x_per_r))
+        self.shape = rows[-1], terms[-1], copies[-1]
+        self.works: dict = {}
+        self.work = self._work(())  # a step's, which takes no leading axes
+        self.z = self.work[0]
+
+    def _work(self, lead: tuple) -> tuple:
+        """The arrays that ``du`` fills for y of leading shape ``lead``, made
+        at its first call.  z and ez are (*lead, rows, column) with each
+        (rows, column) matrix by column, as for y of shape (rows, n): each
+        term's live rows are one run for the mask, and over leading axes the
+        products make, matrix by matrix, the BLAS calls of y without them.
+        Then ez's terms; and of each reflected block, its w in y, r and its
+        signs, d/2 and r (d/2) in its rows and in all, its columns of z,
+        x_per_r, x (then the factor), and its terms and copies."""
+        work = self.works.get(lead)
+        if work is not None:
+            return work
+        m, n_terms, n_all = self.shape
+        z, ez = (np.zeros((*lead, k, m)).swapaxes(-1, -2) for k in (n_terms, n_all))
+        reflected = []
+        for rows, w, sign, r_z, cols, copies, x_per_r in self.reflected:
+            r = np.empty((*lead, rows.stop - rows.start, len(r_z)))
             # r (d/2) goes to the block's rows of its own columns, and is 0
             # in their other rows, which are no row's own terms: adding it
             # to whole columns of z is one contiguous add
-            r, rz = np.empty((hi - lo, len(j))), np.zeros((rows[-1], k), order="F")
-            factor = np.empty((hi - lo, *x_per_r.shape))
-            self.reflected.append(((slice(lo, hi), w), r, r[:, :, None], b.sign(u0[b.rows]),
-                                   d.T / 2, rz[lo:hi], rz, self.z[:, t0:t1], x_per_r, factor,
-                                   self.ez[lo:hi, None, t0:t1],
-                                   self.ez[lo:hi, c0:c1].reshape(factor.shape)))
+            rz = np.zeros((*lead, cols.stop - cols.start, m)).swapaxes(-1, -2)
+            factor = np.empty((*r.shape, x_per_r.shape[-1]))
+            reflected.append(((..., rows, w), r, r[..., None], sign, r_z, rz[..., rows, :], rz,
+                              z[..., cols], x_per_r, factor, ez[..., rows, None, cols],
+                              ez[..., rows, copies].reshape(factor.shape)))
+        work = self.works[lead] = z, ez, ez[..., :n_terms], reflected
+        return work
 
     def keep(self, live: np.ndarray) -> "_Product":
         """This product, evaluating only the rows that the boolean ``live``
@@ -785,20 +821,24 @@ class _Product:
         which takes its fast path."""
         own = np.logical_and(self.own_cols, live[:, None], order="F")
         self.own = True if own.all() else own
-        self.ez[~live] = 0.0
+        for _, ez, _, _ in self.works.values():
+            ez[..., ~live, :] = 0.0
         return self
 
     def du(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """du/dt, or dy/dt for reflected rows, at y of shape (rows, n);
-        written into ``out``, C contiguous of that shape, if given."""
-        np.matmul(y, self.z_of_y, out=self.z)
-        for w, r, r_by_pair, sign, r_z, rz_rows, rz, z, x_per_r, factor, _, _ in self.reflected:
+        """du/dt, or dy/dt for reflected rows, at y of shape (..., rows, n);
+        written into ``out`` of that shape, if given, whose (rows, n)
+        matrices are C contiguous."""
+        z, ez, terms, reflected = self.work if y.ndim == 2 else self._work(y.shape[:-2])
+        np.matmul(y, self.z_of_y, out=z)
+        for w, r, r_by_pair, sign, r_z, rz_rows, rz, cols, x_per_r, factor, _, _ in reflected:
             np.multiply(np.exp(np.maximum(y[w], _W_FLOOR, out=r), out=r), sign, out=r)
             np.matmul(r, r_z, out=rz_rows)
-            np.add(z, rz, out=z)
+            np.add(cols, rz, out=cols)
             x = np.multiply(r_by_pair, x_per_r, out=factor)
             np.divide(np.expm1(x), x, out=factor)
-        np.exp(self.z, out=self.terms, where=self.own)
-        for *_, factor, terms, copies in self.reflected:
-            np.multiply(terms, factor, out=copies)
-        return np.dot(self.ez, self.rates, out=out)
+        np.exp(z, out=terms, where=self.own)
+        for *_, factor, own_terms, copies in reflected:
+            np.multiply(own_terms, factor, out=copies)
+        # np.dot costs less per call, and takes no leading axes
+        return (np.dot if ez.ndim == 2 else np.matmul)(ez, self.rates, out=out)

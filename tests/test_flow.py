@@ -13,7 +13,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.sparse import block_diag
 
-from solvflow import catalog, flow
+from solvflow import catalog, dop853, flow
 from solvflow.catalog import InitialData, ModelId
 from solvflow.curvature import DiagonalityViolation, compile_flow
 from solvflow.invariants import drift_report
@@ -63,15 +63,19 @@ def tau_solve(terms, problem, times):
     """One run in plain coordinates as the solver sees it: a direct solve of
     (1 + t) ``terms.log_rhs`` in log(1 + t) with ``flow.RowwiseDOP853`` at a
     tenth of the problem's tolerances, in the separable form it takes:
-    g = exp, and f = ``terms.log_rhs`` written in place.  Returns the
-    solution and the step counts."""
+    g = exp, and f = ``terms.log_rhs`` written in place, over any leading
+    axes.  Returns the solution at the samples log(1 + ``times``), as
+    ``t_eval`` gave it (``t``, ``y`` by coordinate, ``nfev``), and the step
+    counts."""
     counts = {}
+    taus = np.log1p(times)
     sol = flow.solve_ivp(lambda u, out: np.copyto(out, terms.log_rhs(u)),
                          (0.0, math.log1p(problem.t_end)), np.log(problem.initial.array),
-                         method=flow.RowwiseDOP853, t_eval=np.log1p(times),
+                         method=flow.RowwiseDOP853, samples=taus,
                          rtol=problem.rel_tol / 10, atol=problem.abs_tol / 10, rows=1,
                          counts=counts, g=np.exp)
-    return sol, counts
+    y = counts["samples"]
+    return SimpleNamespace(t=taus[:len(y)], y=y.T, nfev=sol.nfev), counts
 
 
 def t_solve(terms, problem, times, reflect=False):
@@ -503,8 +507,8 @@ class TestIntegrateMany:
             assert math.isnan(solver._estimate_error_norm(solver.E53, K, h, scale))
 
     def test_step_counts_account_for_every_evaluation(self, criterion_4_batches):
-        # DOP853 evaluates 12 stages per attempted step, 3 more per dense
-        # output and 2 to start; the smallest step is at most the span
+        # DOP853 evaluates 12 stages per attempted step, 3 more per step
+        # that holds samples and 2 to start; the smallest step is at most the span
         _, batch = criterion_4_batches[ModelId.D1]
         for traj in (batch[0], run(ModelId.D11, (1, 2, 1, 1, 1), 1e4)):
             meta = traj.meta
@@ -512,37 +516,78 @@ class TestIntegrateMany:
             assert extra % 3 == 0 and 0 <= extra <= 3 * meta["steps"]
             assert 0.0 < meta["min_step_log_t"] <= math.log1p(meta["t_end"])
 
-    def test_dense_output_is_scipys_interpolant(self):
-        # the interpolant y_old + F^T b(x) against scipy's nested form, on
-        # random coefficients, and the coefficients of a step against those
-        # scipy's dense output computes from the same stages, y' = cos(t) (-y)
-        # in the separable form
-        solver = flow.RowwiseDOP853(lambda y, out: np.negative(y, out=out), 0.0, np.ones(10),
-                                    1.0, rows=2, counts={}, g=np.cos)
-        solver.step()
-        ours = solver.dense_output()
-        rng = np.random.default_rng(11)
-        for draw in range(20):
-            n = 5 * (1 + draw % 3)
-            t_old, h = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 2.0)
-            y_old, F = rng.normal(size=n), rng.normal(size=(7, n))
-            t = t_old + np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 10)]) * h
-            got = type(ours)(t_old, t_old + h, y_old, F)
-            want = Dop853DenseOutput(t_old, t_old + h, y_old, F)
-            assert got(t).shape == (n, len(t))
-            assert np.max(np.abs(got(t) - want(t))) <= 1e-14 * np.max(np.abs(want(t)))
-            for tk in (t[0], t[1], t[-1]):  # scalar times, the step's ends among them
-                assert got(tk).shape == (n,)
-                assert np.max(np.abs(got(tk) - want(tk))) <= 1e-14 * np.max(np.abs(want(tk)))
-        t = np.linspace(solver.t_old, solver.t, 7)
-        # scipy's reads the stages K_j = g_j D_j, the last one also as f, and
-        # fills the dense output's three
-        at = solver.t_old + solver.nodes * solver.h_previous
-        at[solver.n_stages] = solver.t
-        solver.K_extended[:] = np.cos(at)[:, None] * solver.Ds
-        solver.f = solver.K[-1]
-        want = DOP853._dense_output_impl(solver)(t)
-        assert np.max(np.abs(ours(t) - want)) <= 1e-14 * np.max(np.abs(want))
+    def test_dense_output_is_scipys_interpolant(self, monkeypatch):
+        # the stacked samples against scipy's interpolant, Dop853DenseOutput,
+        # on the same steps and coefficients, to 1 ulp; and against scipy's
+        # dense output of each step, which computes the coefficients from
+        # the same stages, y' = cos(t) (-y) in the separable form: scipy's
+        # reads the stages K_j = g_j D_j, the last one also as f, and fills
+        # the dense output's three.  Samples fall at both ends of steps and
+        # inside
+        times = np.concatenate([[0.0], np.sort(np.random.default_rng(11).uniform(0.0, 6.0, 40)),
+                                [6.0]])
+        flushed = []  # of each flush: y_old and F of its steps
+        real_coefficients = flow.RowwiseDOP853._coefficients
+
+        def coefficients(solver, steps):
+            F = real_coefficients(solver, steps)
+            flushed.append((solver.rec_y[:steps].copy(), F.copy()))
+            return F
+
+        monkeypatch.setattr(flow.RowwiseDOP853, "_coefficients", coefficients)
+        counts = {}
+        solver = flow.RowwiseDOP853(lambda y, out: np.negative(y, out=out), 0.0,
+                                    np.linspace(0.5, 2.0, 10), 6.0, rows=2, counts=counts,
+                                    g=np.cos, samples=times, rtol=1e-8, atol=1e-10)
+        scipys, sampled, at_step = [], [], 0  # sampled: t_old, t and samples of each step
+        while solver.status == "running":
+            solver.step()
+            at = solver.t_old + solver.nodes * solver.h_previous
+            at[solver.n_stages] = solver.t
+            solver.K[:] = np.cos(at[:len(solver.K)])[:, None] * solver.Ds
+            solver.f = solver.K[-1]
+            new_at_step = np.searchsorted(times, solver.t, side="right")
+            if new_at_step > at_step:
+                scipys.append(DOP853._dense_output_impl(solver)(times[at_step:new_at_step]).T)
+                sampled.append((solver.t_old, solver.t, times[at_step:new_at_step]))
+                at_step = new_at_step
+        got = counts["samples"]
+        assert solver.status == "finished" and got.shape == (len(times), 10)
+        assert counts["steps"] > 10 and len(flushed) == 1  # the whole record at once
+        y_old, F = (np.concatenate(a) for a in zip(*flushed))
+        want = np.concatenate([Dop853DenseOutput(t_old, t, *step)(samples).T for
+                               (t_old, t, samples), *step in zip(sampled, y_old, F)])
+        assert want.shape == got.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        scipys = np.concatenate(scipys)
+        assert np.max(np.abs(got - scipys)) <= 1e-14 * np.max(np.abs(scipys))
+
+    def test_samples_do_not_depend_on_the_flush_size(self, monkeypatch):
+        # the solver's samples, for a single run and for a batch of plain
+        # and reflected rows that leave at three horizons: the whole record
+        # at once against a flush after every step, to 1 ulp
+        problems = [FlowProblem(model, InitialData(lam), t_end) for model, lam, t_end in (
+            (ModelId.D3, (1.0, 1.2, 0.8, 1.5, 2.0), 10.0),
+            (ModelId.D11, (1.0, 2.0, 1.0, 1.0, 1.0), 1e3),
+            (ModelId.D3, (1.3, 0.7, 2.0, 1.1, 0.9), 1e6),
+            (ModelId.D11, (1.5, 0.8, 1.7, 1.2, 0.6), 10.0))]
+        samples = []
+        real_solve_ivp = flow.solve_ivp
+
+        def solve_ivp(*args, counts, **kwargs):
+            sol = real_solve_ivp(*args, counts=counts, **kwargs)
+            samples.append(counts["samples"])
+            return sol
+
+        monkeypatch.setattr(flow, "solve_ivp", solve_ivp)
+        for size in (dop853._RECORD_FLOATS, 1):
+            monkeypatch.setattr(dop853, "_RECORD_FLOATS", size)
+            integrate(problems[2])
+            integrate_many(problems)
+        whole_run, whole_batch, each_run, each_batch = samples
+        for whole, each in ((whole_run, each_run), (whole_batch, each_batch)):
+            assert whole.shape == each.shape and len(whole) > 400
+            assert np.all(np.abs(whole - each) <= np.spacing(np.abs(whole)))
 
     def test_rows_retire_at_their_own_horizon(self, monkeypatch):
         # plain and reflected rows to 10, 1e3 and 1e6: after each horizon the
@@ -835,6 +880,48 @@ class TestReflectedCoordinates:
         assert flow._invariant_swaps(terms) == (conserving, moving)
         assert flow._reflected_pairs(moving) == moving
 
+    def test_swaps_are_the_brute_force_ones(self):
+        # the transpositions that map the term table onto itself, against
+        # permuting the columns of exps and rates and comparing the sorted
+        # rows: on the catalog tables and on random brackets, every other
+        # draw made symmetric under a random transposition
+        def brute(terms):
+            width = terms.exps.shape[1]
+
+            def rows(exps, rates):
+                table = np.hstack([exps, rates])
+                return table[np.lexsort(table.T[::-1])]
+
+            conserving, moving = [], []
+            for i, j in itertools.combinations(range(width), 2):
+                perm = np.arange(width)
+                perm[[i, j]] = j, i
+                if np.array_equal(rows(terms.exps, terms.rates),
+                                  rows(terms.exps[:, perm], terms.rates[:, perm])):
+                    equal = np.array_equal(terms.rates[:, i], terms.rates[:, j])
+                    (conserving if equal else moving).append((i, j))
+            return conserving, moving
+
+        tables = [terms_of(model) for model in ModelId]
+        tables.append(terms_of(ModelId.D11, eps=-1.0, kappa=-1.0))
+        rng = np.random.default_rng(41)
+        for draw in range(60):
+            entries = {}
+            for _ in range(rng.integers(1, 5)):
+                i, j = sorted(rng.choice(5, 2, replace=False).tolist())
+                entries[i, j, int(rng.integers(5))] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+            if draw % 2:
+                a, b = rng.choice(5, 2, replace=False).tolist()
+                swap = {a: b, b: a}
+                for (i, j, k), c in list(entries.items()):
+                    i, j, k = (swap.get(x, x) for x in (i, j, k))
+                    entries.setdefault((min(i, j), max(i, j), k), c if i < j else -c)
+            tables.append(compile_flow(StructureConstants.from_brackets(5, entries)))
+        found = [flow._invariant_swaps(terms) for terms in tables]
+        assert found == [brute(terms) for terms in tables]
+        # random tables with conserving and with moving swaps
+        assert sum(bool(c) for c, _ in found[6:]) >= 10 and sum(bool(m) for _, m in found[6:]) >= 10
+
     def test_overlapping_swaps_keep_plain_coordinates(self):
         # su(2) + R^2: A, B and C are all interchangeable
         terms = compile_flow(SU2)
@@ -1059,6 +1146,24 @@ class TestStackedProduct:
                     du = product.keep(live).du(u)
                     assert np.all(du[~live] == 0.0)
                     assert np.array_equal(du[live], terms.log_rhs(u)[live])
+
+    def test_leading_axes_make_each_matrix_its_own_product(self, monkeypatch):
+        # du over leading axes, as a flush of the solver's record calls it,
+        # gives each (rows, n) matrix bitwise what du gives it alone, written
+        # into out; a row that leaves is 0 there too, in arrays made before
+        # and after it left
+        blocks, product = built_product(monkeypatch, MIXED)
+        rng = np.random.default_rng(31)
+        m = len(MIXED)
+        for live, leads in ((np.ones(m, dtype=bool), [(1,), (4,)]),
+                            (rng.permutation(m) % 3 != 0, [(1,), (4,), (2, 3)])):
+            product.keep(live)
+            for lead in leads:
+                y = np.stack([random_states(rng, blocks) for _ in range(math.prod(lead))])
+                want = np.stack([product.du(matrix) for matrix in y]).reshape(*lead, m, 5)
+                out = np.empty_like(want)
+                assert np.array_equal(product.du(y.reshape(want.shape), out), want)
+                assert np.array_equal(out, want) and np.all(want[..., ~live, :] == 0.0)
 
     def test_retired_rows_are_zero_and_the_live_rows_unchanged(self, monkeypatch):
         # each retirement only masks rows: the retired rows' derivatives are
