@@ -288,10 +288,12 @@ class RowwiseDOP853(DOP853):
             np.multiply(self.W, h, out=self.hW)
             self.hW *= g
             f, y_j, y_j_by_row = self.f_of_y, self.y_j, self.y_j_by_row
+            # np.dot makes matmul's gemv call, bitwise, without its dispatch
             for a, done, stage in self.stages:
-                np.add(np.matmul(a, done, out=y_j), y, out=y_j)
+                np.add(np.dot(a, done, out=y_j), y, out=y_j)
                 f(y_j_by_row, stage)
-            y_new = self.hB @ D[:n] + y
+            y_new = np.dot(self.hB, D[:n])
+            y_new += y
             f(y_new.reshape(self.rows, -1), self.Ds_by_row[n])
             self.nfev += 12
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol

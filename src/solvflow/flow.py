@@ -140,11 +140,23 @@ criterion 10's abelian run in one solve of 1,271 evaluations and 87 steps
 solve per horizon).  Each solve's ``meta`` records its accepted and
 rejected steps and its smallest step in tau, and each row's which steps
 it set and when it left.
+
+A trajectory's JSON file is one line written by orjson, each float in its
+shortest round-trip form, and read back by orjson, bitwise.  stdlib json
+writes a float through CPython's repr, about 500 ns a value, and no stdlib
+route avoids it: for the 2,502 floats of a D3 run to t = 1e6,
+``json.dumps`` took 1.3-2.7 ms and ``json.loads`` 0.6 ms, orjson about
+0.1 ms each (medians of 200 calls, 2 shared cores, orjson 3.8.3).  orjson
+is imported at the first file, not with solvflow, since it takes 5-10 ms
+to import.  JSON has no NaN: orjson writes a non-finite float as null and
+refuses a file that holds a NaN or Infinity token.  The verification
+report stays on stdlib json, which writes such a value as a NaN token that
+a strict reader rejects, so a non-finite value in a report cannot pass
+unseen.
 """
 from __future__ import annotations
 
 import csv as _csv
-import json as _json
 import logging
 import math
 import numbers
@@ -288,7 +300,8 @@ class Trajectory:
     with scipy's reason in ``solver_message``), or None if it stayed to the
     end.  It also gives the worst relative drift of the model's named
     conserved monomials over the run (``max_drift``; 0 for explicit
-    brackets).
+    brackets).  JSON has no NaN: :meth:`write_json` writes a non-finite
+    ``meta`` or ``params`` value as null, which reads back as None.
     Diagonality needs no per-sample record: :func:`integrate` refuses,
     before solving, any brackets whose off-diagonal Ricci monomials do not
     all cancel.
@@ -383,16 +396,25 @@ class Trajectory:
         }
 
     def write_json(self, path) -> None:
-        # one line: json.dumps without an indent takes the C encoder
-        with open(path, "w") as fh:
-            fh.write(_json.dumps(self.to_json_dict()) + "\n")
+        """Write :meth:`to_json_dict` to ``path`` as one orjson line, each
+        float in its shortest round-trip form, so :meth:`read_json` gives
+        the samples back bitwise; numpy scalars in ``meta`` or ``params``
+        are written as numbers.  The module docstring gives the cost this
+        saves, and why the verification report stays on stdlib json."""
+        import orjson
+
+        with open(path, "wb") as fh:
+            fh.write(orjson.dumps(self.to_json_dict(),
+                                  option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
     @classmethod
     def read_json(cls, path) -> "Trajectory":
-        with open(path) as fh:
+        import orjson
+
+        with open(path, "rb") as fh:
             try:
-                doc = _json.load(fh)
-            except _json.JSONDecodeError as exc:
+                doc = orjson.loads(fh.read())
+            except orjson.JSONDecodeError as exc:
                 raise ValueError(f"{path}: {exc}") from None
         s = doc.get("samples") if isinstance(doc, dict) else None
         if not isinstance(s, dict):

@@ -232,6 +232,19 @@ class TestAsymptotics:
                 dot = sum(Fraction(e) * p for e, p in zip(mono.e, row))
                 assert dot == 0, (model, mono.e)
 
+    def test_exponents_meet_hamiltons_balance(self):
+        # R' = 2|Ric|^2 under Ricci flow (Hamilton, J. Diff. Geom. 17, 1982);
+        # for g_p ~ c_p t^k_p, R ~ -sum(k)/(2t) and |Ric|^2 ~ sum(k^2)/(4t^2),
+        # so the exponents must satisfy sum(k) = sum(k^2) exactly
+        balance = {ModelId.D1: Fraction(1, 2), ModelId.D2: Fraction(5, 7),
+                   ModelId.D3: Fraction(10, 11), ModelId.D5: Fraction(4, 3),
+                   ModelId.D11: Fraction(1, 2)}
+        for model in ModelId:
+            for case in case_labels(model):
+                row = model_asymptotics(model, case)
+                assert all(isinstance(k, Fraction) for k in row)
+                assert sum(row) == sum(k * k for k in row) == balance[model], (model, case)
+
 
 class TestCaseClassification:
     def test_d1(self):

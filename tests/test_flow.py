@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.sparse import block_diag
@@ -1227,6 +1228,26 @@ class TestStackedProduct:
         assert calls and not any(np.isneginf(z).any() for z, _ in calls)
 
 
+# finite floats at the ends of the range, and ones that need all 17 digits
+_EDGE_TIMES = (-1.7976931348623157e308, 0.0, 5e-324, 0.30000000000000004, 1.7976931348623157e308)
+_EDGE_COEFFS = (5e-324, 2.2250738585072014e-308, 0.30000000000000004, 1.0000000000000002,
+                1.7976931348623157e308, 9007199254740992.0, 1.2345678901234568e-89)
+
+
+@st.composite
+def _trajectories(draw):
+    """Trajectories of 1 to 12 samples at any finite times, whose
+    coefficients are any finite positive floats, subnormals included."""
+    times = sorted(draw(st.lists(st.one_of(st.sampled_from(_EDGE_TIMES),
+                                           st.floats(allow_nan=False, allow_infinity=False)),
+                                 min_size=1, max_size=12, unique=True)))
+    coeffs = draw(st.lists(st.one_of(st.sampled_from(_EDGE_COEFFS),
+                                     st.floats(min_value=5e-324, allow_infinity=False)),
+                           min_size=5 * len(times), max_size=5 * len(times)))
+    return Trajectory(times=np.array(times), coeffs=np.reshape(coeffs, (len(times), 5)),
+                      termination="reached_t_end")
+
+
 class TestSerialization:
     def test_csv_round_trip_bitwise(self, d5_unit_10, tmp_path):
         path = tmp_path / "run.csv"
@@ -1323,7 +1344,49 @@ class TestSerialization:
     def test_json_is_the_c_encoders_one_line(self, d5_unit_10, tmp_path):
         path = tmp_path / "run.json"
         d5_unit_10.write_json(path)
-        assert path.read_text() == json.dumps(d5_unit_10.to_json_dict()) + "\n"
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == json.loads(json.dumps(d5_unit_10.to_json_dict()))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(traj=_trajectories())
+    @example(traj=Trajectory(times=np.array(_EDGE_TIMES), coeffs=np.resize(_EDGE_COEFFS, (5, 5)),
+                             termination="reached_t_end"))
+    def test_json_round_trip_bitwise(self, traj, tmp_path_factory):
+        path = tmp_path_factory.mktemp("json") / "run.json"
+        traj.write_json(path)
+        back = Trajectory.read_json(path)
+        assert back.times.tobytes() == traj.times.tobytes()
+        assert back.coeffs.tobytes() == traj.coeffs.tobytes()
+
+    def test_json_numpy_scalars_read_back_as_floats(self, tmp_path):
+        params = {k: np.float64(v) for k, v in catalog.constrained_params(ModelId.D11).items()}
+        traj = run(ModelId.D11, (1, 2, 2, 1, 1), np.float64(10.0), params=params)
+        assert type(traj.meta["t_end"]) is np.float64
+        path = tmp_path / "run.json"
+        traj.write_json(path)
+        back = Trajectory.read_json(path)
+        assert back.params == params and back.meta["t_end"] == 10.0
+        assert all(type(v) is float for v in (*back.params.values(), back.meta["t_end"]))
+        assert np.array_equal(back.coeffs, traj.coeffs)
+
+    def test_json_writes_a_nonfinite_meta_value_as_null(self, d5_unit_10, tmp_path):
+        traj = dataclasses.replace(d5_unit_10, meta={**d5_unit_10.meta, "max_drift": math.nan,
+                                                     "wall_s": math.inf})
+        path = tmp_path / "run.json"
+        traj.write_json(path)
+        meta = json.loads(path.read_text())["meta"]
+        assert meta["max_drift"] is None and meta["wall_s"] is None
+        assert Trajectory.read_json(path).meta == meta
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_nonfinite_token_refused(self, d5_unit_10, tmp_path, value):
+        doc = d5_unit_10.to_json_dict()
+        doc["meta"]["max_drift"] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))  # stdlib writes NaN, Infinity or -Infinity
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            Trajectory.read_json(path)
 
     def test_csv_rejects_other_headers(self, tmp_path):
         path = tmp_path / "bad.csv"

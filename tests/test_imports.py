@@ -1,9 +1,10 @@
-"""The import contract: scipy loads at the first solve, never on import, and
-the solver is called through the module attribute ``flow.solve_ivp``, with
-the step method ``flow.RowwiseDOP853``, which is built at the first solve.
+"""The import contract: scipy loads at the first solve and orjson at the
+first trajectory file, never on import, and the solver is called through
+the module attribute ``flow.solve_ivp``, with the step method
+``flow.RowwiseDOP853``, which is built at the first solve.
 
 Each test runs in a fresh interpreter, because any earlier test in this
-process may already have loaded scipy."""
+process may already have loaded scipy or orjson."""
 import json
 import os
 import subprocess
@@ -46,6 +47,26 @@ for argv in (["list"], ["describe", "D11"], ["invariants", "D11"]):
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """)
     assert got == []
+
+
+def test_no_orjson_until_a_trajectory_file():
+    got = run_fresh("""
+import json, os, sys
+import numpy as np
+import solvflow
+from solvflow import cli, flow
+
+loaded = {"import": "orjson" in sys.modules}
+for argv in (["list"], ["describe", "D11"], ["invariants", "D11"]):
+    assert cli.main(argv) == 0
+    loaded[argv[0]] = "orjson" in sys.modules
+traj = flow.Trajectory(times=np.arange(3.0), coeffs=np.ones((3, 5)), termination="reached_t_end")
+traj.write_json(os.devnull)
+loaded["write_json"] = "orjson" in sys.modules
+print(json.dumps(loaded))
+""")
+    assert got == {"import": False, "list": False, "describe": False, "invariants": False,
+                   "write_json": True}
 
 
 def test_first_solve_loads_the_solver_behind_the_module_attribute():
