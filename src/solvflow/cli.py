@@ -65,6 +65,13 @@ def _window_arg(value: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _seed_arg(value: str) -> int:
+    # numpy's own refusal of a negative seed names neither option nor value
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {value!r}")
+    return int(value)
+
+
 def _out_arg(value: str) -> str:
     # refused before any work: the flow or the verification would otherwise
     # run to the end and only then fail to write
@@ -157,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the verification suite")
     p.add_argument("model", nargs="?", type=_model_arg, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", type=_out_arg, default="verification_report.json",
                    help="path of the JSON report")
     p.add_argument("--against", type=_report_arg, default=None, metavar="OLD.json",

@@ -16,11 +16,15 @@ each stage costs one product, one sum and one call of f, and makes no new
 array but the new y.
 
 The solver takes the sample times itself.  A step's dense output needs only
-data the step already holds (*Solving ODEs I*, II.6), so the accepted steps
-that hold samples are recorded and interpolated later, many at once: per
-flush, one call of f for each of the three extra stages of every recorded
-step, one product for their interpolants' coefficients and one for every
-sample.
+data the step already holds (*Solving ODEs I*, II.6), so of each accepted
+step that holds samples the record keeps only that raw data: t, h, y, the
+new y, g at the 16 nodes and the stages' D.  The steps are interpolated
+later, many at once: per flush, the extra stages' weights (W h) g and h g
+are formed again, as the step formed them, and there is one call of f for
+each of the three extra stages of every recorded step, one product for
+their interpolants' coefficients and one for every sample.  The solve runs
+forward only: the samples, the rows' ends and their exits assume that time
+grows.
 
 This module imports ``scipy.integrate`` at its top.  ``import solvflow,
 scipy.integrate`` takes 0.50 s on 2 cores, where ``import solvflow``
@@ -76,19 +80,28 @@ class RowwiseDOP853(DOP853):
     solver's time), those in [t_old, t] of each accepted step as scipy's
     ``t_eval`` would: ``counts["samples"]`` holds y at the ones reached so
     far, one row per time.  ``t_eval`` and ``dense_output`` are refused.
-    An accepted step that holds samples writes its t, h, y, new y, h g at
-    the 16 nodes, the weights of the 3 extra stages and its 13 stages' D
-    into a preallocated record.  The record is flushed before a row leaves,
-    so that every step of a flush has the same live rows, at the last step,
-    and once it holds ``_RECORD_FLOATS`` floats of stages.  A flush takes
-    the three extra stages of every recorded step with one call of ``fun``
-    each, on y_j of shape (steps, rows, width), the interpolants'
-    coefficients with one stacked product, and every sample with one
-    stacked product, padded unless every step holds as many samples:
-    DOP853's 7th-order interpolant y_old + F^T b(x), x = (t - t_old)/h,
-    where b holds the running products of x, 1 - x, x, 1 - x, ...  Each
-    stacked product makes, step by step, the BLAS calls of one step alone,
-    so a sample does not depend on how many steps a flush holds.
+    An accepted step that holds samples writes its t, h, y, new y, g at the
+    16 nodes and its 13 stages' D into a preallocated record.  The record
+    is flushed before a row leaves, so that every step of a flush has the
+    same live rows, at the last step, and once it holds ``_RECORD_FLOATS``
+    floats of stages.  A flush forms the weights of the 3 extra stages as
+    the step forms its own, (W h) g, and h g, bitwise the step's; takes the
+    extra stages of every recorded step with one call of ``fun`` each, on
+    y_j of shape (steps, rows, width), or (rows, width) for a flush of one
+    step, as the step passes it; the interpolants' coefficients F with one
+    stacked product; and every sample y_old + F^T b(x), DOP853's 7th-order
+    interpolant, x = (t - t_old)/h, where b holds the running products of
+    x, 1 - x, x, 1 - x, ...  When every step holds as many samples, and
+    more than one, each step's samples are one BLAS product, the one that
+    step alone makes; otherwise each sample takes its own step's F and b
+    in one ``einsum``.  Its sums of 7 terms can round otherwise than
+    BLAS's, so the steps a flush holds can move a sample in its last bit;
+    on perfbench's 160 seed-0 flow_long runs and the 112 runs of
+    ``solvflow check`` at seed 0 every sample is the one that a BLAS
+    product per step gives.
+
+    The solve runs forward: ``t0`` must be below ``t_bound``, or the
+    constructor raises ``ValueError``.
 
     The step calls ``fun`` uncounted, and adds to ``nfev`` itself: 12
     evaluations per attempted step and 3 per step that holds samples.  A
@@ -133,6 +146,9 @@ class RowwiseDOP853(DOP853):
 
     def __init__(self, fun, t0, y0, t_bound, *, rows, counts, g, samples=(), row_ends=None,
                  live_fun=None, **options):
+        if not t0 < t_bound:
+            raise ValueError(f"RowwiseDOP853 integrates forward only: t0 = {t0!r} must be "
+                             f"below t_bound = {t_bound!r}")
         self.rows = rows
         self.counts = counts
         counts.update(steps=0, rejected_steps=0, min_step=math.inf, steps_set=[0] * rows,
@@ -146,25 +162,15 @@ class RowwiseDOP853(DOP853):
         self.live_fun = live_fun
         n = self.n_stages
         self.nodes = np.concatenate([self.C, [1.0], self.C_EXTRA])
-        # the record: of each step, t, h, y, the new y, h g at the 16 nodes,
-        # the weights of the 3 extra stages, D of its 13 stages and the 3
-        # extra ones, and in ``spans`` the first and last of its samples
+        # the record: of each step, t, h, y, the new y, g at the 16 nodes and
+        # D of its 13 stages and the 3 extra ones, and in ``spans`` the
+        # first and last of its samples
         size = max(1, _RECORD_FLOATS // ((n + 1) * self.n))
         self.rec_t, self.rec_h = np.empty(size), np.empty(size)
         self.rec_y, self.rec_y_new = np.empty((size, self.n)), np.empty((size, self.n))
-        self.rec_hg = np.empty((size, len(self.nodes)))
-        self.rec_hW = np.empty((size, len(self.nodes) - n - 1, len(self.nodes)))
+        self.rec_g = np.empty((size, len(self.nodes)))
         self.rec_D = np.empty((size, len(self.nodes), self.n))
         self.spans = []
-        # the extra stages of the record's steps, each as (its weights, the
-        # stages they combine, its y_j, where its D goes), by step; with one
-        # step f takes its matrices without the leading axis, as the step
-        # itself passes them
-        shape = (size, rows, self.width)[size == 1:]
-        y_j = np.empty((size, 1, self.n))
-        self.rec_stages = [(self.rec_hW[:, k, None, :s], self.rec_D[:, :s], y_j,
-                            self.rec_D[:, s].reshape(shape))
-                           for k, s in enumerate(range(n + 1, len(self.nodes)))]
         # D_j by row; between steps row n keeps the last, f at (t, y)
         self.Ds = np.empty((n + 1, self.n))
         self.Ds[n] = self.f / g(t0)
@@ -251,7 +257,7 @@ class RowwiseDOP853(DOP853):
         self.nfev += 1
         rtol, atol = (np.broadcast_to(tol, y.shape)[live] for tol in (self.rtol, self.atol))
         return select_initial_step(fun, t, y[live], self.t_bound, self.max_step,
-                                   self.g(t) * self.Ds[0, live], self.direction,
+                                   self.g(t) * self.Ds[0, live], 1.0,
                                    self.error_estimator_order, rtol, atol)
 
     def _step_impl(self):
@@ -260,7 +266,7 @@ class RowwiseDOP853(DOP853):
             self._retire(t)
         y, D, n = self.y, self.Ds, self.n_stages
         D[0] = D[n]
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(float(self.h_abs), min_step), self.max_step)
         rejected = False
         while True:
@@ -275,11 +281,8 @@ class RowwiseDOP853(DOP853):
                 self.t_bound = min(self.t_bound, float(self.ends[self.live].max()))
                 rejected = False
                 h_abs = max(self._first_step(t), min_step)
-            t_new = t + h_abs * self.direction
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
             # g at the 16 nodes, the last stage's at t_new itself, folded
             # into the weights of each D_j
             at = t + self.nodes * h
@@ -324,8 +327,7 @@ class RowwiseDOP853(DOP853):
         self.spans.append((start, self.reached))
         self.rec_t[k], self.rec_h[k] = t, h
         self.rec_y[k], self.rec_y_new[k] = y, y_new
-        np.multiply(h, g, out=self.rec_hg[k])
-        self.rec_hW[k] = self.hW[len(self.Ds):]
+        self.rec_g[k] = g
         self.rec_D[k, :len(self.Ds)] = self.Ds
         if k + 1 == len(self.rec_t):
             self._flush()
@@ -336,51 +338,51 @@ class RowwiseDOP853(DOP853):
         if not steps:
             return
         F = self._coefficients(steps)
-        t, h, y = self.rec_t[:steps, None], self.rec_h[:steps, None], self.rec_y[:steps, None]
+        t, h, y = self.rec_t[:steps], self.rec_h[:steps], self.rec_y[:steps]
         (first, _), (_, last) = self.spans[0], self.spans[-1]
         held = [end - start for start, end in self.spans]
-        if min(held) == max(held) > 1:
-            # each step's samples are a row of the flush's
-            x = self.samples[first:last].reshape(steps, -1) - t
-            held = None
-        else:
-            # each step's samples, padded by repeating its last one to the
-            # most that any step holds, and to at least two: the product of
-            # one time would take another BLAS call, which sums in another
-            # order
-            start, end = np.array(self.spans).T[:, :, None]
-            at = start + np.arange(max(2, *held))
-            held = at < end
-            x = self.samples[np.minimum(at, end - 1, out=at)]
-            x -= t
         self.spans = []
-        x /= h
-        factors = np.empty((steps, len(self.Q), x.shape[1]))
-        factors[:, 0::2] = x[:, None]
-        np.subtract(1.0, x[:, None], out=factors[:, 1::2])
-        # (step, time, coordinate); without padding, straight into the
-        # samples
-        out = self.ys[first:last]
-        ys = None if held is not None else out.reshape(x.shape + (self.n,))
-        ys = np.matmul(np.cumprod(factors, axis=1, out=factors).transpose(0, 2, 1), F, out=ys)
-        ys += y
-        if held is not None:
-            out[:] = ys[held]
+        at, out = self.samples[first:last], self.ys[first:last]
+        if min(held) == max(held) > 1:
+            # each step's samples are a row of the flush's, straight into
+            # the samples: (step, time, coordinate)
+            ys = out.reshape(steps, -1, self.n)
+            np.matmul(self._b(at.reshape(steps, -1), t[:, None], h[:, None]), F, out=ys)
+            ys += y[:, None]
+        else:
+            # each sample from its own step's interpolant
+            k = np.repeat(np.arange(steps), held)
+            np.einsum("sj,sjn->sn", self._b(at, t[k], h[k]), F[k], out=out)
+            out += y[k]
         self.counts["samples"] = self.ys[:last]
+
+    def _b(self, at, t, h):
+        """b(x) at the times ``at`` of steps from t of size h, along a new
+        last axis: x = (at - t)/h, and the running products of x, 1 - x,
+        x, 1 - x, ..."""
+        x = (at - t) / h
+        b = np.empty(x.shape + (len(self.Q),))
+        b[..., 0::2] = x[..., None]
+        np.subtract(1.0, x[..., None], out=b[..., 1::2])
+        return np.cumprod(b, axis=-1, out=b)
 
     def _coefficients(self, steps):
         """The interpolants' coefficients F of the first ``steps`` recorded
         steps, by step; their three extra stages go into the record first,
-        with one call of f each."""
-        y = self.rec_y[:steps, None]
-        for a, done, y_j, out in self.rec_stages:
-            if steps < len(self.rec_t):
-                a, done, y_j, out = a[:steps], done[:steps], y_j[:steps], out[:steps]
-            np.add(np.matmul(a, done, out=y_j), y, out=y_j)
-            self.f_of_y(y_j.reshape(out.shape), out)
+        with one call of f each.  Their weights are formed as the step
+        forms its own, (W h) g, so they are bitwise the step's."""
+        n = len(self.Ds)
+        h, g = self.rec_h[:steps, None], self.rec_g[:steps]
+        y, D = self.rec_y[:steps, None], self.rec_D[:steps]
+        # with one step f takes its matrices without the leading axis, as
+        # the step itself passes them
+        shape = (steps, self.rows, self.width)[steps == 1:]
+        for s, a in enumerate(self.W[n:, None] * h * g, start=n):
+            y_j = np.matmul(a[:, None, :s], D[:, :s])
+            y_j += y
+            self.f_of_y(y_j.reshape(shape), D[:, s].reshape(shape))
         self.nfev += 3 * steps
-        return (self.DY * (self.rec_y_new[:steps, None] - y)
-                + (self.Q * self.rec_hg[:steps, None]) @ self.rec_D[:steps])
+        return self.DY * (self.rec_y_new[:steps, None] - y) + (self.Q * (h * g)[:, None]) @ D
 
     def _dense_output_impl(self):
         raise NotImplementedError("RowwiseDOP853 samples the times it is given as samples=; "

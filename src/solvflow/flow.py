@@ -755,10 +755,10 @@ class _Product:
     and one product with the stacked rates gives du/dt: a plain block's are
     its table's, and a reflected block's give s' = (u_i' + u_j')/2 and, from
     the copies, w'.  A row leaves by its mask: ``keep`` clears its rows of
-    ``own`` and of ``ez``, which then stay 0.  ``du`` also takes y with
-    leading axes, as the solver's dense output passes its recorded steps,
-    and gives each (rows, n) matrix bitwise what it gives that matrix
-    alone."""
+    ``own`` and of the step's ``ez``, which then stay 0.  ``du`` also takes
+    y with leading axes, as the solver's dense output passes its recorded
+    steps, with arrays made at that call, and gives each (rows, n) matrix
+    bitwise what it gives that matrix alone."""
 
     def __init__(self, blocks: list[_Block], u0: np.ndarray):
         """``u0`` is log g at the start, one row per problem: it gives each
@@ -805,22 +805,20 @@ class _Product:
             self.reflected.append((slice(lo, hi), w, b.sign(u0[b.rows]), d.T / 2,
                                    slice(t0, t1), slice(c0, c1), x_per_r))
         self.shape = rows[-1], terms[-1], copies[-1]
-        self.works: dict = {}
         self.work = self._work(())  # a step's, which takes no leading axes
         self.z = self.work[0]
 
     def _work(self, lead: tuple) -> tuple:
-        """The arrays that ``du`` fills for y of leading shape ``lead``, made
-        at its first call.  z and ez are (*lead, rows, column) with each
-        (rows, column) matrix by column, as for y of shape (rows, n): each
-        term's live rows are one run for the mask, and over leading axes the
+        """The arrays that ``du`` fills for y of leading shape ``lead``: a
+        step's, without leading axes, are made once, and those with leading
+        axes at each call, all 0, so that a retired row's terms are 0 in
+        them too.  z and ez are (*lead, rows, column) with each (rows,
+        column) matrix by column, as for y of shape (rows, n): each term's
+        live rows are one run for the mask, and over leading axes the
         products make, matrix by matrix, the BLAS calls of y without them.
         Then ez's terms; and of each reflected block, its w in y, r and its
         signs, d/2 and r (d/2) in its rows and in all, its columns of z,
         x_per_r, x (then the factor), and its terms and copies."""
-        work = self.works.get(lead)
-        if work is not None:
-            return work
         m, n_terms, n_all = self.shape
         z, ez = (np.zeros((*lead, k, m)).swapaxes(-1, -2) for k in (n_terms, n_all))
         reflected = []
@@ -834,8 +832,7 @@ class _Product:
             reflected.append(((..., rows, w), r, r[..., None], sign, r_z, rz[..., rows, :], rz,
                               z[..., cols], x_per_r, factor, ez[..., rows, None, cols],
                               ez[..., rows, copies].reshape(factor.shape)))
-        work = self.works[lead] = z, ez, ez[..., :n_terms], reflected
-        return work
+        return z, ez, ez[..., :n_terms], reflected
 
     def keep(self, live: np.ndarray) -> "_Product":
         """This product, evaluating only the rows that the boolean ``live``
@@ -843,8 +840,8 @@ class _Product:
         which takes its fast path."""
         own = np.logical_and(self.own_cols, live[:, None], order="F")
         self.own = True if own.all() else own
-        for _, ez, _, _ in self.works.values():
-            ez[..., ~live, :] = 0.0
+        _, ez, _, _ = self.work
+        ez[~live] = 0.0
         return self
 
     def du(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

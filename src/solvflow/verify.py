@@ -349,6 +349,8 @@ class VerifySession:
 
     def __init__(self, seed: int = 0, models: Iterable[ModelId] | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
         self.models = tuple(ModelId(m) for m in models) if models else ALL_MODELS
         self._cache: dict[str, Trajectory] = {}
         # the facts of each solve, in call order, and the one of each run

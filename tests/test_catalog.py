@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from solvflow.catalog import (
     params_from_basis_change,
     y_basis_change,
 )
+from solvflow.curvature import compile_flow
 from solvflow.liecore import jacobi_residual, unimodularity_defect
 
 
@@ -244,6 +246,53 @@ class TestAsymptotics:
                 row = model_asymptotics(model, case)
                 assert all(isinstance(k, Fraction) for k in row)
                 assert sum(row) == sum(k * k for k in row) == balance[model], (model, case)
+
+
+def hamilton_defect(exps, rates):
+    """R' - 2|Ric|^2 of a term table's flow, monomial by monomial and in
+    exact arithmetic, with R at g = 1.  Put z_k = g^e_k and r the row sums
+    of ``rates``: ric_p = -1/2 sum_k rates[k, p] z_k, so R = -1/2 sum_k r_k z_k,
+    z_k' = z_k sum_l M[k, l] z_l with M = exps rates^T, and
+    2|Ric|^2 = 1/2 sum_{k, l} (rates[k] . rates[l]) z_k z_l.  Returns the
+    monomials e_k + e_l whose coefficient is not 0, and R at g = 1."""
+    exps, rates = ([[Fraction(v) for v in row] for row in a] for a in (exps, rates))
+    r = [sum(row) for row in rates]
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    defect = defaultdict(Fraction)
+    for e_k, rates_k, r_k in zip(exps, rates, r):
+        for e_l, rates_l in zip(exps, rates):
+            m = tuple(a + b for a, b in zip(e_k, e_l))
+            defect[m] += -r_k * dot(e_k, rates_l) / 2 - dot(rates_k, rates_l) / 2
+    return {m: c for m, c in defect.items() if c}, -sum(r) / 2
+
+
+class TestHamiltonsLaw:
+    # R' = 2|Ric|^2 on a homogeneous space (Hamilton, J. Diff. Geom. 17,
+    # 1982), as an identity of each compiled table's terms.  R at g = 1 is
+    # negative, as on every nonflat solvable group (Milnor, Adv. Math. 21,
+    # 1976, Thm 3.1)
+    R_AT_ONE = {ModelId.D1: Fraction(-1), ModelId.D2: Fraction(-3, 2), ModelId.D3: Fraction(-2),
+                ModelId.D5: Fraction(-5, 2), ModelId.D11: Fraction(-1)}
+
+    @staticmethod
+    def terms(model, eps=1.0):
+        return compile_flow(build_model(model, constrained_params(model, eps)))
+
+    @pytest.mark.parametrize("model, eps", [*((m, 1.0) for m in ModelId), (ModelId.D11, -1.0)])
+    def test_every_compiled_table_obeys_it(self, model, eps):
+        terms = self.terms(model, eps)
+        assert hamilton_defect(terms.exps, terms.rates) == ({}, self.R_AT_ONE[model])
+
+    def test_a_rate_off_by_one_percent_breaks_it(self):
+        terms = self.terms(ModelId.D3)
+        rates = terms.rates.copy()
+        assert rates[0, 2] == -1.0
+        rates[0, 2] *= 1.01
+        defect, _ = hamilton_defect(terms.exps, rates)
+        assert defect
 
 
 class TestCaseClassification:

@@ -226,6 +226,17 @@ def test_unwritable_out_usage_error(monkeypatch, capsys, tmp_path, argv, out, me
     assert "error:" in err and message in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_check_seed_usage_error(monkeypatch, capsys, tmp_path, seed):
+    # refused at the boundary, by name, not by numpy's generator
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--seed", seed, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, not '{seed}'" in err
+
+
 def test_invariants_retired_flags(capsys):
     for flag in ("--max-exp", "--seed"):
         with pytest.raises(SystemExit) as exc:

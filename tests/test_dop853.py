@@ -148,3 +148,14 @@ def test_t_eval_and_dense_output_are_refused():
     for kwargs in ({"t_eval": [0.0, 0.5]}, {"dense_output": True}):
         with pytest.raises(NotImplementedError, match="samples="):
             solve([0.5], 1.0, **kwargs)
+
+
+@pytest.mark.parametrize("t_span", [(1.0, 0.0), (0.5, 0.5)])
+def test_backward_solves_are_refused(t_span):
+    # the samples, the rows' ends and their exits assume that time grows
+    f, y0 = square(np.ones(1, dtype=bool)), np.array([0.5])
+    with pytest.raises(ValueError, match="integrates forward only"):
+        RowwiseDOP853(f, t_span[0], y0, t_span[1], rows=1, counts={}, g=np.ones_like)
+    with pytest.raises(ValueError, match="integrates forward only"):
+        solve_ivp(f, t_span, y0, method=RowwiseDOP853, rows=1, counts={}, g=np.ones_like,
+                  rtol=1e-10, atol=1e-12)

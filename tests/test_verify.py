@@ -87,6 +87,11 @@ def test_stacked_criterion_matches_per_draw_loop(seed, number, loop):
     assert all(passed for _, passed, _ in got)
 
 
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, not -1"):
+        VerifySession(seed=-1)
+
+
 @pytest.mark.parametrize("reference", [reference_ricci_diag, reference_system])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_references_broadcast_over_a_stack_bitwise(reference, model):
