@@ -40,8 +40,10 @@ __all__ = [
     "ricci_quadratic",
     "ricci_forms",
     "ricci_tensor",
-    # FlowTerms is not listed: perfbench/tracing.py wraps the methods of
-    # listed classes, and FlowTerms.log_rhs runs at every solver stage
+    # FlowTerms is not listed, so perfbench/tracing.py, which wraps the
+    # methods of listed classes, gives its calls no spans.  No solver stage
+    # calls FlowTerms.log_rhs (the solve's right-hand side is
+    # flow._Product.du); flow_rhs and criterion 2's draws do
     "compile_flow",
     "flow_rhs",
 ]

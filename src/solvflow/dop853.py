@@ -22,9 +22,10 @@ new y, g at the 16 nodes and the stages' D.  The steps are interpolated
 later, many at once: per flush, the extra stages' weights (W h) g and h g
 are formed again, as the step formed them, and there is one call of f for
 each of the three extra stages of every recorded step, one product for
-their interpolants' coefficients and one for every sample.  The solve runs
-forward only: the samples, the rows' ends and their exits assume that time
-grows.
+their interpolants' coefficients, and one for the samples of each step.
+Every bit of a sample is thus fixed by its own step: which steps share a
+flush, and so the record's size, changes none.  The solve runs forward
+only: the samples, the rows' ends and their exits assume that time grows.
 
 This module imports ``scipy.integrate`` at its top.  ``import solvflow,
 scipy.integrate`` takes 0.50 s on 2 cores, where ``import solvflow``
@@ -91,14 +92,10 @@ class RowwiseDOP853(DOP853):
     step, as the step passes it; the interpolants' coefficients F with one
     stacked product; and every sample y_old + F^T b(x), DOP853's 7th-order
     interpolant, x = (t - t_old)/h, where b holds the running products of
-    x, 1 - x, x, 1 - x, ...  When every step holds as many samples, and
-    more than one, each step's samples are one BLAS product, the one that
-    step alone makes; otherwise each sample takes its own step's F and b
-    in one ``einsum``.  Its sums of 7 terms can round otherwise than
-    BLAS's, so the steps a flush holds can move a sample in its last bit;
-    on perfbench's 160 seed-0 flow_long runs and the 112 runs of
-    ``solvflow check`` at seed 0 every sample is the one that a BLAS
-    product per step gives.
+    x, 1 - x, x, 1 - x, ...  b is formed for all the flush's samples at
+    once, and each step's samples are one product of their b with that
+    step's F alone, so each sample is its own step's product and the
+    record's size changes no bit of it.
 
     The solve runs forward: ``t0`` must be below ``t_bound``, or the
     constructor raises ``ValueError``.
@@ -333,38 +330,32 @@ class RowwiseDOP853(DOP853):
             self._flush()
 
     def _flush(self):
-        """y at the samples of the recorded steps, written into ``ys``."""
+        """y at the samples of the recorded steps, written into ``ys``: each
+        step's samples are one product of their b(x) with that step's F,
+        plus that step's y_old."""
         steps = len(self.spans)
         if not steps:
             return
         F = self._coefficients(steps)
-        t, h, y = self.rec_t[:steps], self.rec_h[:steps], self.rec_y[:steps]
         (first, _), (_, last) = self.spans[0], self.spans[-1]
         held = [end - start for start, end in self.spans]
+        t, h = (np.repeat(a[:steps], held) for a in (self.rec_t, self.rec_h))
+        b = self._b(self.samples[first:last], t, h)
+        for k, (start, end) in enumerate(self.spans):
+            out = self.ys[start:end]
+            np.add(np.dot(b[start - first:end - first], F[k], out=out), self.rec_y[k], out=out)
         self.spans = []
-        at, out = self.samples[first:last], self.ys[first:last]
-        if min(held) == max(held) > 1:
-            # each step's samples are a row of the flush's, straight into
-            # the samples: (step, time, coordinate)
-            ys = out.reshape(steps, -1, self.n)
-            np.matmul(self._b(at.reshape(steps, -1), t[:, None], h[:, None]), F, out=ys)
-            ys += y[:, None]
-        else:
-            # each sample from its own step's interpolant
-            k = np.repeat(np.arange(steps), held)
-            np.einsum("sj,sjn->sn", self._b(at, t[k], h[k]), F[k], out=out)
-            out += y[k]
         self.counts["samples"] = self.ys[:last]
 
     def _b(self, at, t, h):
-        """b(x) at the times ``at`` of steps from t of size h, along a new
-        last axis: x = (at - t)/h, and the running products of x, 1 - x,
-        x, 1 - x, ..."""
+        """b(x) at the 1-D times ``at`` of steps from t of size h, one row
+        per time: x = (at - t)/h, and the running products of x, 1 - x, x,
+        1 - x, ..."""
         x = (at - t) / h
-        b = np.empty(x.shape + (len(self.Q),))
-        b[..., 0::2] = x[..., None]
-        np.subtract(1.0, x[..., None], out=b[..., 1::2])
-        return np.cumprod(b, axis=-1, out=b)
+        b = np.empty((len(x), len(self.Q)))
+        b[:, 0::2] = x[:, None]
+        np.subtract(1.0, x[:, None], out=b[:, 1::2])
+        return np.cumprod(b, axis=1, out=b)
 
     def _coefficients(self, steps):
         """The interpolants' coefficients F of the first ``steps`` recorded

@@ -478,7 +478,8 @@ def integrate(problem: FlowProblem) -> Trajectory:
     """
     # the shared private solve, not integrate_many: a single run's solver
     # call then nests directly in this function's span when perfbench wraps
-    # the public names for tracing
+    # the public names for tracing, as perfbench/tests/test_bench.py's
+    # test_spans_nest_within_their_parents_and_operation requires
     return _integrate_batch([problem])[0]
 
 

@@ -127,6 +127,20 @@ def test_report_gives_each_run_and_its_one_solve(report):
     assert doc["solves"] == report.solves and len(doc["runs"]) == 112
 
 
+def test_the_solve_keeps_within_its_cost(report):
+    # the seed-0 solve's cost as an upper bound (1,271 evaluations and 87
+    # steps, none rejected), as CI's check step also holds it
+    [solve] = report.solves
+    assert solve["nfev"] <= 1271 and solve["steps"] <= 87 and solve["rejected_steps"] == 0
+
+
+def test_rows_to_t_10_retire_before_the_last_step(report):
+    [solve] = report.solves
+    for key in ("d5_unit_10", "d11_case2_10", "abelian_10"):
+        step = report.runs[key]["retired_at_step"]
+        assert step is not None and step < solve["steps"], key
+
+
 def test_each_runs_max_drift_is_its_own(session, report):
     # the solve takes drifts once per block and grid; each run's must be the
     # drift of its own samples, bitwise

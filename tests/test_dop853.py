@@ -120,13 +120,16 @@ def test_a_retired_row_stays_put_bitwise():
 
 
 def test_samples_do_not_depend_on_the_flush_size(monkeypatch):
-    # the whole record at once, and a flush after every step: the rows
-    # leave at 0.5 (by their end), at 1 and 2 (where they blow up), and
-    # each flush before a row leaves interpolates with the rows then live
+    # the whole record at once, a flush after every step and after every
+    # third (13 stages of 6 floats per step): the rows leave at 0.5 (by
+    # their end), at 1 and 2 (where they blow up), and each flush before a
+    # row leaves interpolates with the rows then live.  Each sample is its
+    # own step's product, so every size gives the same bits
     y0 = np.array([2.0, 0.5, 1.0, -1.0, 0.25, 0.9])
     times = np.linspace(0.0, 3.0, 301)
 
-    def run():
+    def run(size):
+        monkeypatch.setattr(dop853, "_RECORD_FLOATS", size)
         counts = {}
         live = np.ones(len(y0), dtype=bool)
         sol = solve_ivp(square(live), (0.0, 3.0), y0, method=RowwiseDOP853, rows=len(y0),
@@ -134,12 +137,12 @@ def test_samples_do_not_depend_on_the_flush_size(monkeypatch):
                         live_fun=square, samples=times, rtol=1e-10, atol=1e-12)
         return sol, counts["samples"]
 
-    whole_sol, whole = run()
-    monkeypatch.setattr(dop853, "_RECORD_FLOATS", 1)
-    each_sol, each = run()
-    assert whole_sol.nfev == each_sol.nfev and np.array_equal(whole_sol.t, each_sol.t)
-    assert whole.shape == each.shape == (len(times), len(y0))
-    assert np.all(np.abs(whole - each) <= np.spacing(np.abs(whole)))
+    whole_sol, whole = run(dop853._RECORD_FLOATS)
+    assert whole.shape == (len(times), len(y0))
+    for size in (1, 3 * 13 * len(y0)):
+        sol, samples = run(size)
+        assert sol.nfev == whole_sol.nfev and np.array_equal(sol.t, whole_sol.t)
+        assert np.array_equal(samples, whole)
 
 
 def test_t_eval_and_dense_output_are_refused():
